@@ -37,7 +37,7 @@ func (c *FloatColumn) Get(i int) float64 { return c.vals[i] }
 func (c *FloatColumn) Values() []float64 { return c.vals }
 
 // Scan evaluates `value op x` into out and prices the work.  It is the
-// whole-column case of ScanRows, so serial and morsel-parallel scans
+// whole-column case of ScanRows, so whole-column and morsel scans
 // share one kernel and one pricing formula.
 func (c *FloatColumn) Scan(op vec.CmpOp, x float64, out *vec.Bitvec) energy.Counters {
 	return c.ScanRows(op, x, 0, len(c.vals), out)

@@ -152,7 +152,7 @@ type ScanStats struct {
 // operate-on-compressed kernels; unsealed segments fall back to a
 // branch-free scalar scan.  The returned counters price the work for the
 // energy model.  Scan is the whole-column case of the shared scanRows
-// kernel (see scanrows.go), so serial and morsel-parallel scans cannot
+// kernel (see scanrows.go), so whole-column and morsel scans cannot
 // drift apart.
 func (c *IntColumn) Scan(op vec.CmpOp, cval int64, out *vec.Bitvec) (energy.Counters, ScanStats) {
 	return c.scanRows(op, cval, 0, c.n, out)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/sched"
 	"repro/internal/txn"
-	"repro/internal/vec"
 )
 
 // Sharded-table support on the engine facade: cutting a loaded table
@@ -216,30 +215,10 @@ func (e *Engine) bufferShardedMutations(tx *txn.TableTx, st *colstore.ShardedTab
 		if !keep[i] {
 			continue
 		}
-		n := sh.RowsAsOf(snap)
-		sel := vec.NewBitvec(n)
-		sel.SetAll()
-		for _, p := range d.Preds {
-			col, err := sh.Column(p.Col)
-			if err != nil {
-				return 0, err
-			}
-			p, err = coercePredTo(p, col.Type())
-			if err != nil {
-				return 0, err
-			}
-			pb := vec.NewBitvec(n)
-			switch c := col.(type) {
-			case *colstore.IntColumn:
-				work.Add(c.ScanRows(p.Op, p.Val.I, 0, n, pb))
-			case *colstore.FloatColumn:
-				work.Add(c.ScanRows(p.Op, p.Val.F, 0, n, pb))
-			case *colstore.StringColumn:
-				work.Add(c.ScanRows(p.Op, p.Val.S, 0, n, pb))
-			}
-			sel.And(pb)
+		sel, err := selectVictims(sh, d.Preds, snap, work)
+		if err != nil {
+			return 0, err
 		}
-		work.Add(sh.FilterVisible(snap, 0, n, sel))
 		seqc, err := sh.IntCol(colstore.ShardSeqCol)
 		if err != nil {
 			return 0, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/opt"
 	"repro/internal/sql"
 	"repro/internal/wal"
@@ -300,5 +301,43 @@ func TestOfferRebalanceDefersThenRaces(t *testing.T) {
 	loop.RunToIdle()
 	if !rt2.Done() || rt2.Err != nil {
 		t.Fatalf("idle rebalance did not complete: done=%v err=%v", rt2.Done(), rt2.Err)
+	}
+}
+
+// TestDMLVictimSearchPinnedCounters pins the full work bill (victim scan,
+// delta writes, durability) of UPDATE and DELETE on a flat and a 4-shard
+// table, so the victim search keeps charging exactly what it did before
+// it shared the scans' row-selection kernel.
+func TestDMLVictimSearchPinnedCounters(t *testing.T) {
+	const update = "UPDATE orders SET amount = 1.0 WHERE custkey = 3 AND amount > 500.0"
+	const del = "DELETE FROM orders WHERE custkey < 5 AND region = 'ASIA'"
+	cases := []struct {
+		shards  int // 0 = flat
+		stmt    string
+		matched int
+		want    energy.Counters
+	}{
+		{0, update, 137, energy.Counters{Instructions: 25080, TuplesIn: 8000, TuplesOut: 3952, BytesReadDRAM: 37336, BytesWrittenDRAM: 26004, CacheMisses: 689, BytesWrittenSSD: 13674}},
+		{0, del, 300, energy.Counters{Instructions: 11446, TuplesIn: 8274, TuplesOut: 2524, BytesReadDRAM: 9528, BytesWrittenDRAM: 21000, CacheMisses: 142, BytesWrittenSSD: 9000}},
+		{4, update, 137, energy.Counters{Instructions: 12819, TuplesIn: 1902, TuplesOut: 1047, BytesReadDRAM: 8088, BytesWrittenDRAM: 29018, CacheMisses: 687, BytesWrittenSSD: 15318}},
+		{4, del, 300, energy.Counters{Instructions: 7183, TuplesIn: 4280, TuplesOut: 2133, BytesReadDRAM: 3680, BytesWrittenDRAM: 21600, CacheMisses: 141, BytesWrittenSSD: 9600}},
+	}
+	engines := map[int]*Engine{}
+	for i, c := range cases {
+		e := engines[c.shards]
+		if e == nil {
+			if c.shards == 0 {
+				e = Open(WithDurability(wal.Local, 0))
+				loadOrders(t, e, 4000)
+			} else {
+				e = shardedOrders(t, 4000, c.shards, WithDurability(wal.Local, 0))
+			}
+			engines[c.shards] = e
+		}
+		res := execStmt(t, e, c.stmt, time.Duration(i+1)*time.Millisecond)
+		if res.Matched != c.matched || res.Work != c.want {
+			t.Errorf("shards=%d %q: matched %d, work %+v\nwant matched %d, work %+v",
+				c.shards, c.stmt, res.Matched, res.Work, c.matched, c.want)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/txn"
@@ -184,35 +186,36 @@ func (e *Engine) bufferInserts(tx *txn.TableTx, t *colstore.Table, d *opt.DML, w
 	return nil
 }
 
+// selectVictims runs the WHERE clause of an UPDATE/DELETE over t's
+// snapshot prefix through the scans' row-selection kernel, coercing each
+// literal to its column's type, and charges the scan to work.
+func selectVictims(t *colstore.Table, preds []expr.Pred, snap int64, work *energy.Counters) (*vec.Bitvec, error) {
+	preds = slices.Clone(preds)
+	cols := make([]colstore.Column, len(preds))
+	for i, p := range preds {
+		col, err := t.Column(p.Col)
+		if err != nil {
+			return nil, err
+		}
+		if preds[i], err = coercePredTo(p, col.Type()); err != nil {
+			return nil, err
+		}
+		cols[i] = col
+	}
+	sel, w := exec.SelectRows(t, preds, cols, snap, 0, t.RowsAsOf(snap))
+	work.Add(w)
+	return sel, nil
+}
+
 // bufferMutations locates UPDATE/DELETE victims with a snapshot-prefix
 // scan at the transaction's snapshot and buffers the tombstones (and,
 // for UPDATE, the replacement versions).
 func (e *Engine) bufferMutations(tx *txn.TableTx, t *colstore.Table, d *opt.DML, work *energy.Counters) (int, error) {
 	snap := tx.Snapshot()
-	n := t.RowsAsOf(snap)
-	sel := vec.NewBitvec(n)
-	sel.SetAll()
-	for _, p := range d.Preds {
-		col, err := t.Column(p.Col)
-		if err != nil {
-			return 0, err
-		}
-		p, err = coercePredTo(p, col.Type())
-		if err != nil {
-			return 0, err
-		}
-		pb := vec.NewBitvec(n)
-		switch c := col.(type) {
-		case *colstore.IntColumn:
-			work.Add(c.ScanRows(p.Op, p.Val.I, 0, n, pb))
-		case *colstore.FloatColumn:
-			work.Add(c.ScanRows(p.Op, p.Val.F, 0, n, pb))
-		case *colstore.StringColumn:
-			work.Add(c.ScanRows(p.Op, p.Val.S, 0, n, pb))
-		}
-		sel.And(pb)
+	sel, err := selectVictims(t, d.Preds, snap, work)
+	if err != nil {
+		return 0, err
 	}
-	work.Add(t.FilterVisible(snap, 0, n, sel))
 	rows := sel.Indices()
 	schema := t.Schema()
 	var sets []setTarget

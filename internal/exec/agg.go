@@ -25,7 +25,7 @@ type HashAgg struct {
 	GroupBy []string
 	Aggs    []expr.AggSpec
 	// Unfused pins the legacy scan-then-aggregate path even when the
-	// child is a fusable ParallelScan — the control arm of the E24
+	// child is a fusable full-access Scan — the control arm of the E24
 	// experiment and of the fused-vs-unfused byte-identity tests.
 	Unfused bool
 }
@@ -331,8 +331,8 @@ func (a *HashAgg) rangeWork(lo, hi, groups int) energy.Counters {
 
 // Run implements Node.
 func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
-	// Fused filter→aggregate path: when the child is a fusable
-	// ParallelScan, aggregate straight off the compressed segments in one
+	// Fused filter→aggregate path: when the child is a fusable full-access
+	// Scan, aggregate straight off the compressed segments in one
 	// pass per morsel (fused.go) instead of materializing the filtered
 	// relation first.  The fused output is byte-identical to this
 	// operator's own output over the scan's relation.

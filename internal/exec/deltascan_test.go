@@ -46,30 +46,29 @@ type scanArm struct {
 	w   energy.Counters
 }
 
-// scanBothWays runs the same projection+predicates serially and at DOPs
-// 1/2/4/8, asserting every arm returns identical relation bytes and
-// identical attributed counters, and returns the common result.
+// scanBothWays runs the same projection+predicates at DOPs 1/2/4/8,
+// asserting every arm returns the row-at-a-time reference's relation
+// bytes (refScan) and the DOP-1 arm's attributed counters, and returns
+// the common result.
 func scanBothWays(t *testing.T, tab *colstore.Table, snap int64) scanArm {
 	t.Helper()
 	sel := []string{"id", "custkey", "amount"}
 	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(20)}}
-	base := func() scanArm {
-		ctx := NewCtx()
-		ctx.SnapTS = snap
-		rel, err := (&Scan{Table: tab, Select: sel, Preds: preds}).Run(ctx)
-		must(t, err)
-		return scanArm{rel, ctx.Meter.Snapshot()}
-	}()
-	for _, dop := range []int{1, 2, 4, 8} {
+	want := refScan(t, tab, sel, preds, nil, snap)
+	var base scanArm
+	for i, dop := range []int{1, 2, 4, 8} {
 		ctx := NewCtx()
 		ctx.SnapTS = snap
 		ctx.Parallelism = dop
-		rel, err := (&ParallelScan{Table: tab, Select: sel, Preds: preds}).Run(ctx)
+		rel, err := (&Scan{Table: tab, Select: sel, Preds: preds}).Run(ctx)
 		must(t, err)
-		if !reflect.DeepEqual(rel, base.rel) {
-			t.Fatalf("snap=%d dop=%d: parallel relation diverged from serial", snap, dop)
+		if !reflect.DeepEqual(rel, want) {
+			t.Fatalf("snap=%d dop=%d: relation diverged from the row reference", snap, dop)
 		}
-		if w := ctx.Meter.Snapshot(); w != base.w {
+		w := ctx.Meter.Snapshot()
+		if i == 0 {
+			base = scanArm{rel, w}
+		} else if w != base.w {
 			t.Fatalf("snap=%d dop=%d: counters diverged\n got %+v\nwant %+v", snap, dop, w, base.w)
 		}
 	}
@@ -78,7 +77,7 @@ func scanBothWays(t *testing.T, tab *colstore.Table, snap int64) scanArm {
 
 // TestScanMainDeltaDOPInvariant: with a live delta and tombstones, the
 // scan is a pure function of (snapshot, predicates) — identical
-// relations and counters serially and at every DOP, at the latest
+// relations and counters at every DOP, at the latest
 // snapshot and at historical ones that split the delta.
 func TestScanMainDeltaDOPInvariant(t *testing.T) {
 	tab := deltaOrdersTable(t, 4096, 300)

@@ -145,6 +145,46 @@ func TestScanIndexRangePredicate(t *testing.T) {
 	}
 }
 
+// TestScanIndexRangeAtInt64Extremes: index range access must return the
+// full scan's rows for every inequality at every literal, including the
+// ends of the int64 domain, where k < MinInt64 and k > MaxInt64 select
+// nothing and the bounds must not wrap.
+func TestScanIndexRangeAtInt64Extremes(t *testing.T) {
+	keys := []int64{math.MinInt64, -1<<62 - 5, -3, 0, 7, 1<<62 + 5, math.MaxInt64}
+	tab := colstore.NewTable("extremes", colstore.Schema{{Name: "k", Type: colstore.Int64}})
+	must(t, tab.Writer().Int64("k", keys...).Close())
+	must(t, tab.Seal())
+	for _, idx := range []index.Index{index.NewBTree(), index.NewPrefixTree()} {
+		index.BuildFrom(idx, keys)
+		for _, op := range []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE} {
+			for _, c := range keys {
+				preds := []expr.Pred{{Col: "k", Op: op, Val: expr.IntVal(c)}}
+				full, err := (&Scan{Table: tab, Preds: preds}).Run(NewCtx())
+				must(t, err)
+				viaIdx, err := (&Scan{Table: tab, Preds: preds,
+					Access: AccessSpec{Kind: IndexAccess, Index: idx, IndexCol: "k"}}).Run(NewCtx())
+				must(t, err)
+				var want []int64
+				for _, k := range keys {
+					if vec.CmpInt64(op, k, c) {
+						want = append(want, k)
+					}
+				}
+				fk, _ := full.Col("k")
+				ik, _ := viaIdx.Col("k")
+				if len(fk.I) != len(want) || len(ik.I) != len(want) {
+					t.Fatalf("%s: k %s %d: full scan %v, index %v, want %v", idx.Name(), op, c, fk.I, ik.I, want)
+				}
+				for i := range want {
+					if fk.I[i] != want[i] || ik.I[i] != want[i] {
+						t.Fatalf("%s: k %s %d: full scan %v, index %v, want %v", idx.Name(), op, c, fk.I, ik.I, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHashRangePredicateErrors(t *testing.T) {
 	tab := ordersTable(t, 100)
 	ck, _ := tab.IntCol("custkey")

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
@@ -32,9 +33,9 @@ import (
 //	             predicates) across the main/delta boundary.
 //
 // Fusion is transparent: HashAgg.Run and ParallelJoin.Run detect a
-// fusable ParallelScan child and bypass its materialization; every other
-// shape takes the legacy path unchanged, and the Unfused escape hatch
-// pins the legacy path for A/B runs (experiment E24) and the
+// fusable full-access Scan child and bypass its materialization; every
+// other shape takes the legacy path unchanged, and the Unfused escape
+// hatch pins the legacy path for A/B runs (experiment E24) and the
 // byte-identity tests.
 //
 // Determinism contract.  The fused output relation is byte-identical to
@@ -55,12 +56,11 @@ import (
 // Fused filter→aggregate
 // ---------------------------------------------------------------------------
 
-// fusedAggPlan is a resolved, eligible Scan+HashAgg fusion: the scan's
-// predicate columns, the group-key source, and the aggregate inputs,
-// all bound against the base table before any worker starts.
+// fusedAggPlan is a resolved, eligible Scan+HashAgg fusion: the bound
+// scan, the group-key source, and the aggregate inputs, all resolved
+// against the base table before any worker starts.
 type fusedAggPlan struct {
-	scan     *ParallelScan
-	predCols []colstore.Column
+	*scanBinding
 	// Group-key source; both nil for global (no GROUP BY) aggregation.
 	// For a string group column, groupInts is its code column and keys
 	// are global dictionary codes, decoded to strings once at output.
@@ -77,58 +77,41 @@ type fusedAggPlan struct {
 	trackFirst bool
 }
 
+// fusable binds a HashAgg or ParallelJoin input that can feed a fused
+// pipeline: a full-access Scan whose columns all resolve.  nil means the
+// legacy path runs (and reports any binding errors itself).
+func fusable(child Node) *scanBinding {
+	s, ok := child.(*Scan)
+	if !ok || s.Access.Kind != FullScan {
+		return nil
+	}
+	b, err := s.bind()
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
 // fusedAggPlan reports how (and whether) this HashAgg can fuse into its
 // child scan.  Any ineligibility — wrong child shape, multi-column or
 // float group keys, float aggregate inputs, unresolvable columns — simply
-// returns nil and the legacy path runs (and reports any binding errors
-// exactly as before).
+// returns nil and the legacy path runs.
 func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
 	if a.Unfused || len(a.GroupBy) > 1 {
 		return nil
 	}
-	s, ok := a.Child.(*ParallelScan)
-	if !ok {
+	b := fusable(a.Child)
+	if b == nil {
 		return nil
 	}
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	idxOf := func(name string) int {
-		for i, n := range names {
-			if n == name {
-				return i
-			}
-		}
-		return -1
-	}
-	outCols := make([]colstore.Column, len(names))
-	for i, name := range names {
-		c, err := s.Table.Column(name)
-		if err != nil {
-			return nil // the legacy scan reports the error
-		}
-		outCols[i] = c
-	}
-	fp := &fusedAggPlan{scan: s}
-	fp.predCols = make([]colstore.Column, len(s.Preds))
-	for i, p := range s.Preds {
-		c, err := s.Table.Column(p.Col)
-		if err != nil || checkPredType(c, p) != nil {
-			return nil
-		}
-		fp.predCols[i] = c
-	}
-	asCode := codeFlags(names, outCols, s.Codes)
+	fp := &fusedAggPlan{scanBinding: b}
 	if len(a.GroupBy) == 1 {
 		g := a.GroupBy[0]
-		gi := idxOf(g)
-		if gi < 0 || asCode[gi] {
+		gi := slices.Index(b.names, g)
+		if gi < 0 || b.asCode[gi] {
 			return nil
 		}
-		switch gc := outCols[gi].(type) {
+		switch gc := b.outCols[gi].(type) {
 		case *colstore.IntColumn:
 			fp.groupInts, fp.groupType = gc, colstore.Int64
 		case *colstore.StringColumn:
@@ -141,16 +124,16 @@ func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
 	fp.aggInts = make([]*colstore.IntColumn, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		if spec.Func == expr.AggCount {
-			if spec.Col != "" && idxOf(spec.Col) < 0 {
+			if spec.Col != "" && !slices.Contains(b.names, spec.Col) {
 				return nil // COUNT(col) on a column the scan doesn't emit
 			}
 			continue
 		}
-		ci := idxOf(spec.Col)
-		if ci < 0 || asCode[ci] {
+		ci := slices.Index(b.names, spec.Col)
+		if ci < 0 || b.asCode[ci] {
 			return nil
 		}
-		ic, ok := outCols[ci].(*colstore.IntColumn)
+		ic, ok := b.outCols[ci].(*colstore.IntColumn)
 		if !ok {
 			return nil // float (or string) aggregate inputs stay legacy
 		}
@@ -366,27 +349,7 @@ func (a *HashAgg) runFusedAgg(ctx *Ctx, fp *fusedAggPlan) (*Relation, error) {
 // sequence — charging the exact same scan counters — and folds the
 // selected rows into a partial table without materializing them.
 func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, snap int64, lo, hi int) (*fusedAggTable, energy.Counters) {
-	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
-	var w energy.Counters
-	s := fp.scan
-	for i, p := range s.Preds {
-		pb := vec.NewBitvec(nrows)
-		switch c := fp.predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		sel.And(pb)
-	}
-	if len(s.Preds) == 0 {
-		w.TuplesIn += uint64(nrows)
-	}
-	w.Add(s.Table.FilterVisible(snap, lo, hi, sel))
+	sel, w := fp.filter(snap, lo, hi)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 
@@ -622,17 +585,13 @@ func (a *HashAgg) buildFusedOutput(fp *fusedAggPlan, t *fusedAggTable) *Relation
 // Fused filter→probe
 // ---------------------------------------------------------------------------
 
-// fusedProbePlan is a resolved, eligible ParallelScan probe side of a
+// fusedProbePlan is a resolved, eligible Scan probe side of a
 // ParallelJoin: the probe keys stream straight from the compressed key
 // segments, and the intermediate probe Relation is never built — matched
 // rows gather from the base table after the probe.
 type fusedProbePlan struct {
-	scan     *ParallelScan
-	names    []string // the scan's effective projection
-	outCols  []colstore.Column
-	asCode   []bool
-	predCols []colstore.Column
-	keyIdx   int
+	*scanBinding
+	keyIdx int
 	// keyInts yields the probe keys: the key column itself, or a string
 	// key's global code column (keys are then global dictionary codes).
 	keyInts *colstore.IntColumn
@@ -646,40 +605,11 @@ func (j *ParallelJoin) fusedProbePlan() *fusedProbePlan {
 	if j.Unfused {
 		return nil
 	}
-	s, ok := j.Left.(*ParallelScan)
-	if !ok {
+	b := fusable(j.Left)
+	if b == nil {
 		return nil
 	}
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	fp := &fusedProbePlan{scan: s, names: names, keyIdx: -1}
-	fp.outCols = make([]colstore.Column, len(names))
-	for i, name := range names {
-		c, err := s.Table.Column(name)
-		if err != nil {
-			return nil
-		}
-		fp.outCols[i] = c
-	}
-	fp.predCols = make([]colstore.Column, len(s.Preds))
-	for i, p := range s.Preds {
-		c, err := s.Table.Column(p.Col)
-		if err != nil || checkPredType(c, p) != nil {
-			return nil
-		}
-		fp.predCols[i] = c
-	}
-	fp.asCode = codeFlags(names, fp.outCols, s.Codes)
-	for i, name := range names {
-		if name == j.LeftKey {
-			fp.keyIdx = i
-			break
-		}
-	}
+	fp := &fusedProbePlan{scanBinding: b, keyIdx: slices.Index(b.names, j.LeftKey)}
 	if fp.keyIdx < 0 {
 		return nil
 	}
@@ -796,25 +726,7 @@ func (j *ParallelJoin) runFusedProbe(ctx *Ctx, fp *fusedProbePlan, right *Relati
 // without ever materializing the probe side.
 func (fp *fusedProbePlan) probeMorsel(snap int64, lo, hi int, tables []*joinTable, shift uint) (pairChunk, energy.Counters) {
 	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
-	var w energy.Counters
-	for i, p := range fp.scan.Preds {
-		pb := vec.NewBitvec(nrows)
-		switch c := fp.predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		sel.And(pb)
-	}
-	if len(fp.scan.Preds) == 0 {
-		w.TuplesIn += uint64(nrows)
-	}
-	w.Add(fp.scan.Table.FilterVisible(snap, lo, hi, sel))
+	sel, w := fp.filter(snap, lo, hi)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 
@@ -972,7 +884,7 @@ func gatherStoredInts(c *colstore.IntColumn, rows []int32, out []int64) energy.C
 // FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs}
 // would take the fused filter→aggregate path — the planner's pricing
 // mirror of fusedAggPlan.
-func FusedAggEligible(scan *ParallelScan, groupBy []string, aggs []expr.AggSpec) bool {
+func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
 	a := &HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}
 	return a.fusedAggPlan() != nil
 }
@@ -981,7 +893,7 @@ func FusedAggEligible(scan *ParallelScan, groupBy []string, aggs []expr.AggSpec)
 // leftKey would fuse its probe feed — the planner's pricing mirror of
 // fusedProbePlan (build-side shape is a runtime decision and not part
 // of the static answer).
-func FusedProbeEligible(scan *ParallelScan, leftKey string) bool {
+func FusedProbeEligible(scan *Scan, leftKey string) bool {
 	j := &ParallelJoin{Left: scan, LeftKey: leftKey}
 	return j.fusedProbePlan() != nil
 }

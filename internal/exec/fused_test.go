@@ -7,6 +7,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -175,7 +176,7 @@ type fusedArm struct {
 	w   energy.Counters
 }
 
-// runAggArm executes one HashAgg-over-ParallelScan plan at the given DOP
+// runAggArm executes one HashAgg-over-Scan plan at the given DOP
 // and snapshot, returning the relation and the full counter snapshot.
 func runAggArm(t *testing.T, tab *colstore.Table, c fusedAggCase, snap int64, dop int, unfused bool) fusedArm {
 	t.Helper()
@@ -183,7 +184,7 @@ func runAggArm(t *testing.T, tab *colstore.Table, c fusedAggCase, snap int64, do
 	ctx.SnapTS = snap
 	ctx.Parallelism = dop
 	agg := &HashAgg{
-		Child:   &ParallelScan{Table: tab, Select: c.sel, Preds: c.preds},
+		Child:   &Scan{Table: tab, Select: c.sel, Preds: c.preds},
 		GroupBy: c.groupBy,
 		Aggs:    c.aggs,
 		Unfused: unfused,
@@ -213,7 +214,7 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedAggCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &ParallelScan{Table: tc.tab, Select: c.sel, Preds: c.preds}
+				scan := &Scan{Table: tc.tab, Select: c.sel, Preds: c.preds}
 				if !FusedAggEligible(scan, c.groupBy, c.aggs) {
 					t.Fatalf("case unexpectedly ineligible for fusion")
 				}
@@ -256,10 +257,14 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 // on or off — ineligibility is a plan decision, never a result change.
 func TestFusedAggEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
-	scan := func() *ParallelScan {
-		return &ParallelScan{Table: tab, Select: []string{"rle", "region", "amount"}}
+	scan := func() *Scan {
+		return &Scan{Table: tab, Select: []string{"rle", "region", "amount"}}
 	}
 	count := []expr.AggSpec{{Func: expr.AggCount}}
+	lc, err := tab.IntCol("lowcard")
+	must(t, err)
+	idx := index.NewBTree()
+	index.BuildFrom(idx, lc.Values())
 	cases := []struct {
 		name string
 		agg  *HashAgg
@@ -273,12 +278,14 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"float-group", &HashAgg{Child: scan(), GroupBy: []string{"amount"}, Aggs: count}, "ok"},
 		{"float-agg-input", &HashAgg{Child: scan(), GroupBy: []string{"rle"},
 			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}, "ok"},
-		{"serial-scan-child", &HashAgg{Child: &Scan{Table: tab, Select: []string{"rle"}},
+		{"index-access-child", &HashAgg{Child: &Scan{Table: tab, Select: []string{"rle"},
+			Preds:  []expr.Pred{{Col: "lowcard", Op: vec.LT, Val: expr.IntVal(4)}},
+			Access: AccessSpec{Kind: IndexAccess, Index: idx, IndexCol: "lowcard", IndexEpoch: tab.WriteEpoch()}},
 			GroupBy: []string{"rle"}, Aggs: count}, "ok"},
 		{"count-col-not-selected", &HashAgg{Child: scan(), GroupBy: []string{"rle"},
 			Aggs: []expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}}, "err"},
 		{"code-domain-group", &HashAgg{
-			Child:   &ParallelScan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
+			Child:   &Scan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
 			GroupBy: []string{"region"}, Aggs: count}, "skip"},
 	}
 	for _, c := range cases {
@@ -428,14 +435,14 @@ func fusedJoinCases() []fusedJoinCase {
 	}
 }
 
-// runJoinArm executes one ParallelJoin with a ParallelScan probe side.
+// runJoinArm executes one ParallelJoin with a Scan probe side.
 func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, dop int, unfused bool) fusedArm {
 	t.Helper()
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Parallelism = dop
 	j := &ParallelJoin{
-		Left:     &ParallelScan{Table: tab, Select: c.sel, Preds: c.preds, Codes: c.codes},
+		Left:     &Scan{Table: tab, Select: c.sel, Preds: c.preds, Codes: c.codes},
 		Right:    c.right(t),
 		LeftKey:  c.leftKey,
 		RightKey: c.rightKey,
@@ -465,7 +472,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedJoinCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &ParallelScan{Table: tc.tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
+				scan := &Scan{Table: tc.tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
 				if !FusedProbeEligible(scan, c.leftKey) {
 					t.Fatalf("case unexpectedly ineligible for probe fusion")
 				}
@@ -500,8 +507,8 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 // to the classic paths and still answer identically under the fused flag.
 func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
-	mkScan := func(sel []string, codes []string) *ParallelScan {
-		return &ParallelScan{Table: tab, Select: sel, Codes: codes}
+	mkScan := func(sel []string, codes []string) *Scan {
+		return &Scan{Table: tab, Select: sel, Codes: codes}
 	}
 	nilPlans := []struct {
 		name string
@@ -525,7 +532,7 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	tiny := fusedMatrixTable(t, 4096, 0)
 	runTiny := func(unfused bool) *Relation {
 		rel, err := (&ParallelJoin{
-			Left:    &ParallelScan{Table: tiny, Select: []string{"lowcard", "sorted"}},
+			Left:    &Scan{Table: tiny, Select: []string{"lowcard", "sorted"}},
 			Right:   intDimSource(),
 			LeftKey: "lowcard", RightKey: "k",
 			Unfused: unfused,
@@ -545,7 +552,7 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	}}}
 	runRaw := func(unfused bool) *Relation {
 		rel, err := (&ParallelJoin{
-			Left:    &ParallelScan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
+			Left:    &Scan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
 			Right:   rawDim,
 			LeftKey: "region", RightKey: "region",
 			Unfused: unfused,
@@ -561,7 +568,7 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	// type reports the same error as the legacy path.
 	mismatch := func(unfused bool) error {
 		_, err := (&ParallelJoin{
-			Left:    &ParallelScan{Table: tab, Select: []string{"lowcard"}},
+			Left:    &Scan{Table: tab, Select: []string{"lowcard"}},
 			Right:   &Scan{Table: fusedDimTable(t)},
 			LeftKey: "lowcard", RightKey: "region",
 			Unfused: unfused,

@@ -2,14 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
-	"repro/internal/vec"
 )
 
 // Morsel-driven parallel execution (Leis et al., SIGMOD 2014, adapted to
@@ -57,27 +55,36 @@ func runPool[T any](ctx *Ctx, n int, work func(task int) (T, energy.Counters)) (
 	results := make([]T, n)
 	workerTotals := make([]energy.Counters, dop)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < dop; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			for {
-				if ctx.Canceled() || (wkr > 0 && wkr >= ctx.DOP()) {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				res, w := work(i)
-				results[i] = res
-				ctx.Meter.Add(w) // one merge per task
-				workerTotals[wkr].Add(w)
+	worker := func(wkr int) {
+		for {
+			if ctx.Canceled() || (wkr > 0 && wkr >= ctx.DOP()) {
+				return
 			}
-		}(wkr)
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			res, w := work(i)
+			results[i] = res
+			ctx.Meter.Add(w) // one merge per task
+			workerTotals[wkr].Add(w)
+		}
 	}
-	wg.Wait()
+	if dop == 1 {
+		// A lone worker runs on the calling goroutine, so a one-morsel
+		// scan pays no goroutine launch.
+		worker(0)
+	} else {
+		var wg sync.WaitGroup
+		for wkr := 0; wkr < dop; wkr++ {
+			wg.Add(1)
+			go func(wkr int) {
+				defer wg.Done()
+				worker(wkr)
+			}(wkr)
+		}
+		wg.Wait()
+	}
 	var total energy.Counters
 	for i := range workerTotals {
 		total.Add(workerTotals[i])
@@ -98,88 +105,6 @@ func runMorsels[T any](ctx *Ctx, n int, work func(m, lo, hi int) (T, energy.Coun
 		}
 		return work(m, lo, hi)
 	})
-}
-
-// ParallelScan is the morsel-driven counterpart of Scan: a full table
-// scan with conjunctive predicates pushed down, evaluated morsel-wise by
-// a worker pool.  Predicates run through the same zone-map-pruned
-// operate-on-compressed kernels as the serial scan (colstore's ScanRows
-// dispatching per segment codec: RLE runs, delta boundary search,
-// dictionary code rewrite, bit-packed SWAR), each morsel materializes
-// its own slice of the projected columns, and the coordinator
-// concatenates the slices in morsel order — so the output rows, their
-// order, and the charged counters match the serial Scan at any degree
-// of parallelism, whatever layout the table is sealed into.  The
-// optimizer emits it instead of Scan when a table's cardinality clears
-// opt.ParallelScanRows.
-type ParallelScan struct {
-	Table  *colstore.Table
-	Select []string // output columns; empty = all
-	Preds  []expr.Pred
-	// Codes lists string columns to emit in the dictionary code domain
-	// (Col.Dict set, I = codes) instead of materializing strings — the
-	// planner requests it for join keys on sealed tables so the join
-	// runs on 8-byte codes end to end.
-	Codes []string
-}
-
-// Label implements Node.
-func (s *ParallelScan) Label() string {
-	parts := []string{fmt.Sprintf("ParallelScan(%s, morsel=%d)", s.Table.Name, MorselRows)}
-	for _, p := range s.Preds {
-		parts = append(parts, p.String())
-	}
-	return strings.Join(parts, " ")
-}
-
-// Kids implements Node.
-func (s *ParallelScan) Kids() []Node { return nil }
-
-// Run implements Node.
-func (s *ParallelScan) Run(ctx *Ctx) (*Relation, error) {
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	// Resolve and type-check every column before any worker starts, so
-	// the morsel bodies cannot fail.
-	outCols := make([]colstore.Column, len(names))
-	for i, name := range names {
-		c, err := s.Table.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		outCols[i] = c
-	}
-	predCols := make([]colstore.Column, len(s.Preds))
-	for i, p := range s.Preds {
-		c, err := s.Table.Column(p.Col)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkPredType(c, p); err != nil {
-			return nil, err
-		}
-		predCols[i] = c
-	}
-
-	asCode := codeFlags(names, outCols, s.Codes)
-	// The snapshot fixes the scan prefix — and with it the morsel grid —
-	// at admission, so concurrent writes never perturb results, counters,
-	// or the work distribution.
-	n := s.Table.RowsAsOf(ctx.SnapTS)
-	snap := ctx.SnapTS
-	parts, total := runMorsels(ctx, n, func(m, lo, hi int) (*Relation, energy.Counters) {
-		return s.runMorsel(predCols, outCols, names, asCode, snap, lo, hi)
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
-	}
-	out := concatParts(names, outCols, asCode, parts)
-	ctx.Trace(s.Label(), out.N, total)
-	return out, nil
 }
 
 // codeFlags marks which projected columns were requested in the
@@ -221,45 +146,9 @@ func checkPredType(c colstore.Column, p expr.Pred) error {
 	return nil
 }
 
-// runMorsel filters and materializes rows [lo, hi) visible at snap.
-func (s *ParallelScan) runMorsel(predCols, outCols []colstore.Column, names []string, asCode []bool, snap int64, lo, hi int) (*Relation, energy.Counters) {
-	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
-	var w energy.Counters
-	for i, p := range s.Preds {
-		pb := vec.NewBitvec(nrows)
-		switch c := predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		sel.And(pb)
-	}
-	if len(s.Preds) == 0 {
-		w.TuplesIn += uint64(nrows)
-	}
-	// Tombstone masking charges per visible tombstone in the window — a
-	// function of (snapshot, grid), so the morsel sweep stays
-	// counter-identical to the serial scan at every DOP.
-	w.Add(s.Table.FilterVisible(snap, lo, hi, sel))
-	rows := sel.Indices()
-	out := &Relation{N: len(rows), Cols: make([]Col, len(names))}
-	for ci, col := range outCols {
-		oc, gw := gatherCol(col, names[ci], asCode[ci], rows, lo, hi)
-		out.Cols[ci] = oc
-		w.Add(gw)
-	}
-	w.TuplesOut += uint64(len(rows))
-	return out, w
-}
-
 // gatherCol materializes the selected rows of one stored column out of
-// the window [lo, hi) (global row = lo + r), shared by the serial and
-// morsel scans, and prices the physical work.  A fully selected window
+// the window [lo, hi) (global row = lo + r) — a morsel, or the whole
+// snapshot prefix for index access — and prices the physical work.  A fully selected window
 // decodes sealed segments in bulk (DecodeRange streams each compressed
 // segment slice once — the reason join-key extraction is priced per
 // morsel, not per row); sparse selections pay roughly one cache-line
@@ -312,38 +201,36 @@ func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, 
 	return oc, energy.Counters{}
 }
 
-// concatParts stitches per-morsel relations back together in morsel
-// order, restoring the serial scan's ascending row order.
-func concatParts(names []string, outCols []colstore.Column, asCode []bool, parts []*Relation) *Relation {
-	total := 0
-	for _, p := range parts {
-		total += p.N
+// concat stitches per-morsel relations back together in morsel order,
+// restoring ascending row order.  A single part — a one-morsel table —
+// is returned as is.
+func (b *scanBinding) concat(parts []*Relation) *Relation {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	out := &Relation{N: total, Cols: make([]Col, len(names))}
-	for ci := range names {
-		oc := Col{Name: names[ci], Type: outCols[ci].Type()}
+	out := &Relation{Cols: make([]Col, len(b.names))}
+	for _, p := range parts {
+		out.N += p.N
+	}
+	for ci, name := range b.names {
+		oc := Col{Name: name, Type: b.outCols[ci].Type()}
+		if b.asCode[ci] {
+			oc.Dict = b.outCols[ci].(*colstore.StringColumn).Dict()
+		}
+		// The column's one value slice starts non-nil; appending the
+		// parts' nil slices leaves the other two nil, as gatherCol does.
 		switch {
-		case oc.Type == colstore.String && asCode[ci]:
-			oc.Dict = outCols[ci].(*colstore.StringColumn).Dict()
-			oc.I = make([]int64, 0, total)
-			for _, p := range parts {
-				oc.I = append(oc.I, p.Cols[ci].I...)
-			}
-		case oc.Type == colstore.Int64:
-			oc.I = make([]int64, 0, total)
-			for _, p := range parts {
-				oc.I = append(oc.I, p.Cols[ci].I...)
-			}
+		case oc.Type == colstore.Int64 || oc.Dict != nil:
+			oc.I = make([]int64, 0, out.N)
 		case oc.Type == colstore.Float64:
-			oc.F = make([]float64, 0, total)
-			for _, p := range parts {
-				oc.F = append(oc.F, p.Cols[ci].F...)
-			}
+			oc.F = make([]float64, 0, out.N)
 		default:
-			oc.S = make([]string, 0, total)
-			for _, p := range parts {
-				oc.S = append(oc.S, p.Cols[ci].S...)
-			}
+			oc.S = make([]string, 0, out.N)
+		}
+		for _, p := range parts {
+			oc.I = append(oc.I, p.Cols[ci].I...)
+			oc.F = append(oc.F, p.Cols[ci].F...)
+			oc.S = append(oc.S, p.Cols[ci].S...)
 		}
 		out.Cols[ci] = oc
 	}

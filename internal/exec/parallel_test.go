@@ -1,11 +1,16 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -22,43 +27,187 @@ func runPlan(t *testing.T, n Node, dop int) (*Relation, *Ctx) {
 	return rel, ctx
 }
 
-// TestParallelScanMatchesSerial: the morsel scan must reproduce the
-// serial scan's rows, order, and column bytes exactly, across predicate
-// types (packed int, float, dictionary string) and projections.
+// refScan is the row-at-a-time oracle for Scan: it reads every row of
+// the snapshot prefix with Get, keeps the rows that are visible at snap
+// (RowVisible) and satisfy every predicate, and builds the projection row
+// by row.  It shares no code with the operator's kernels.
+func refScan(t *testing.T, tab *colstore.Table, sel []string, preds []expr.Pred, codes []string, snap int64) *Relation {
+	t.Helper()
+	if len(sel) == 0 {
+		for _, d := range tab.Schema() {
+			sel = append(sel, d.Name)
+		}
+	}
+	predCols := make([]colstore.Column, len(preds))
+	for i, p := range preds {
+		c, err := tab.Column(p.Col)
+		must(t, err)
+		predCols[i] = c
+	}
+	matches := func(r int) bool {
+		for i, p := range preds {
+			var ok bool
+			switch c := predCols[i].(type) {
+			case *colstore.IntColumn:
+				ok = refCmp(p.Op, c.Get(r), p.Val.I)
+			case *colstore.FloatColumn:
+				ok = refCmp(p.Op, c.Get(r), p.Val.F)
+			case *colstore.StringColumn:
+				ok = refCmp(p.Op, c.Get(r), p.Val.S)
+			}
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	var rows []int
+	for r := 0; r < tab.RowsAsOf(snap); r++ {
+		if tab.RowVisible(snap, r) && matches(r) {
+			rows = append(rows, r)
+		}
+	}
+	out := &Relation{N: len(rows)}
+	for _, name := range sel {
+		col, err := tab.Column(name)
+		must(t, err)
+		oc := Col{Name: name, Type: col.Type()}
+		switch c := col.(type) {
+		case *colstore.IntColumn:
+			oc.I = make([]int64, 0, len(rows))
+			for _, r := range rows {
+				oc.I = append(oc.I, c.Get(r))
+			}
+		case *colstore.FloatColumn:
+			oc.F = make([]float64, 0, len(rows))
+			for _, r := range rows {
+				oc.F = append(oc.F, c.Get(r))
+			}
+		case *colstore.StringColumn:
+			if slices.Contains(codes, name) && c.Ordered() {
+				oc.Dict = c.Dict()
+				oc.I = make([]int64, 0, len(rows))
+				for _, r := range rows {
+					oc.I = append(oc.I, c.CodeColumn().Get(r))
+				}
+				break
+			}
+			oc.S = make([]string, 0, len(rows))
+			for _, r := range rows {
+				oc.S = append(oc.S, c.Get(r))
+			}
+		}
+		out.Cols = append(out.Cols, oc)
+	}
+	return out
+}
+
+func refCmp[T cmp.Ordered](op vec.CmpOp, a, b T) bool {
+	c := cmp.Compare(a, b)
+	switch op {
+	case vec.LT:
+		return c < 0
+	case vec.LE:
+		return c <= 0
+	case vec.GT:
+		return c > 0
+	case vec.GE:
+		return c >= 0
+	case vec.EQ:
+		return c == 0
+	}
+	return c != 0
+}
+
+// TestParallelScanMatchesSerial: Scan at DOP 1, 3 and 8 must reproduce
+// the serial row-at-a-time reference (refScan) — rows, order, and column
+// bytes — across predicate types (packed int, float, dictionary string),
+// projections, code-domain output, and index access (live, and stale so
+// it falls back to the morsel grid), with counters identical at every
+// DOP.  Each case runs on a one-morsel and a multi-morsel table, both
+// with delta rows and tombstones, at the latest snapshot and at one that
+// splits the delta.
 func TestParallelScanMatchesSerial(t *testing.T) {
-	tab := ordersTable(t, 200_000)
+	type table struct {
+		name string
+		tab  *colstore.Table
+		idx  AccessSpec
+	}
+	var tables []table
+	for _, tb := range []struct {
+		name string
+		rows int
+	}{{"one-morsel", MorselRows / 2}, {"multi-morsel", 2*MorselRows + 1000}} {
+		tab := deltaOrdersTable(t, tb.rows, 300)
+		ck, err := tab.IntCol("custkey")
+		must(t, err)
+		bt := index.NewBTree()
+		for r := 0; r < tab.RowsAsOf(colstore.SnapLatest); r++ {
+			bt.Insert(ck.Get(r), int32(r))
+		}
+		tables = append(tables, table{tb.name, tab,
+			AccessSpec{Kind: IndexAccess, Index: bt, IndexCol: "custkey", IndexEpoch: tab.WriteEpoch()}})
+	}
+	asia := expr.Pred{Col: "region", Op: vec.EQ, Val: expr.StrVal("ASIA")}
 	cases := []struct {
 		name  string
 		sel   []string
 		preds []expr.Pred
+		codes []string
+		// access: "" full scan, "index" live index, "stale" an index
+		// whose epoch no longer matches the table.
+		access string
 	}{
-		{"no-preds-all-cols", nil, nil},
-		{"int-lt", []string{"id", "amount"}, []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(40)}}},
-		{"int-eq", []string{"id"}, []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)}}},
-		{"float-gt", []string{"id", "region"}, []expr.Pred{{Col: "amount", Op: vec.GT, Val: expr.FloatVal(900)}}},
-		{"string-eq", []string{"id", "amount"}, []expr.Pred{{Col: "region", Op: vec.EQ, Val: expr.StrVal("ASIA")}}},
-		{"string-ne-unknown", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.NE, Val: expr.StrVal("NOWHERE")}}},
-		{"string-lt", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.LT, Val: expr.StrVal("EUROPE")}}},
-		{"string-le", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.LE, Val: expr.StrVal("ASIA")}}},
-		{"string-gt", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.GT, Val: expr.StrVal("ASIA")}}},
+		{"no-preds-all-cols", nil, nil, nil, ""},
+		{"int-lt", []string{"id", "amount"}, []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(40)}}, nil, ""},
+		{"int-eq", []string{"id"}, []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)}}, nil, ""},
+		{"float-gt", []string{"id", "region"}, []expr.Pred{{Col: "amount", Op: vec.GT, Val: expr.FloatVal(900)}}, nil, ""},
+		{"string-eq", []string{"id", "amount"}, []expr.Pred{asia}, nil, ""},
+		{"string-ne-unknown", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.NE, Val: expr.StrVal("NOWHERE")}}, nil, ""},
+		{"string-lt", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.LT, Val: expr.StrVal("EUROPE")}}, nil, ""},
+		{"string-le", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.LE, Val: expr.StrVal("ASIA")}}, nil, ""},
+		{"string-gt", []string{"id"}, []expr.Pred{{Col: "region", Op: vec.GT, Val: expr.StrVal("ASIA")}}, nil, ""},
 		{"conjunction", []string{"id", "region", "amount"}, []expr.Pred{
 			{Col: "custkey", Op: vec.LT, Val: expr.IntVal(60)},
 			{Col: "amount", Op: vec.GE, Val: expr.FloatVal(10)},
 			{Col: "region", Op: vec.NE, Val: expr.StrVal("AFRICA")},
-		}},
+		}, nil, ""},
+		{"code-domain", []string{"id", "region"}, []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(30)}}, []string{"region"}, ""},
+		{"index-eq", []string{"id", "region"}, []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)}, asia}, nil, "index"},
+		{"index-lt", []string{"id", "amount"}, []expr.Pred{asia, {Col: "custkey", Op: vec.LT, Val: expr.IntVal(5)}}, nil, "index"},
+		{"index-ge", []string{"id", "custkey"}, []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(90)}}, nil, "index"},
+		{"index-stale", []string{"id", "amount"}, []expr.Pred{{Col: "custkey", Op: vec.LE, Val: expr.IntVal(3)}}, nil, "stale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := &Scan{Table: tab, Select: tc.sel, Preds: tc.preds}
-			want, err := serial.Run(NewCtx())
-			if err != nil {
-				t.Fatal(err)
-			}
-			par := &ParallelScan{Table: tab, Select: tc.sel, Preds: tc.preds}
-			for _, dop := range []int{1, 3, 8} {
-				got, _ := runPlan(t, par, dop)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("DOP %d: parallel scan diverged from serial (%d vs %d rows)", dop, got.N, want.N)
+			for _, tb := range tables {
+				scan := &Scan{Table: tb.tab, Select: tc.sel, Preds: tc.preds, Codes: tc.codes}
+				switch tc.access {
+				case "index":
+					scan.Access = tb.idx
+				case "stale":
+					scan.Access = tb.idx
+					scan.Access.IndexEpoch--
+				}
+				for _, snap := range []int64{colstore.SnapLatest, 150} {
+					want := refScan(t, tb.tab, tc.sel, tc.preds, tc.codes, snap)
+					var w1 energy.Counters
+					for _, dop := range []int{1, 3, 8} {
+						ctx := NewCtx()
+						ctx.SnapTS = snap
+						ctx.Parallelism = dop
+						got, err := scan.Run(ctx)
+						must(t, err)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s snap=%d DOP %d: scan diverged from the row reference (%d vs %d rows)",
+								tb.name, snap, dop, got.N, want.N)
+						}
+						if w := ctx.Meter.Snapshot(); dop == 1 {
+							w1 = w
+						} else if w != w1 {
+							t.Fatalf("%s snap=%d DOP %d: counters diverged from DOP 1\n got %+v\nwant %+v", tb.name, snap, dop, w, w1)
+						}
+					}
 				}
 			}
 		})
@@ -69,13 +218,13 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 // fail before any worker starts.
 func TestParallelScanErrors(t *testing.T) {
 	tab := ordersTable(t, 1000)
-	if _, err := (&ParallelScan{Table: tab, Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.StrVal("x")}}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Table: tab, Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.StrVal("x")}}}).Run(NewCtx()); err == nil {
 		t.Error("string literal against BIGINT column must error")
 	}
-	if _, err := (&ParallelScan{Table: tab, Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Table: tab, Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}).Run(NewCtx()); err == nil {
 		t.Error("unknown predicate column must error")
 	}
-	if _, err := (&ParallelScan{Table: tab, Select: []string{"nope"}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Table: tab, Select: []string{"nope"}}).Run(NewCtx()); err == nil {
 		t.Error("unknown projection column must error")
 	}
 }
@@ -91,7 +240,7 @@ func TestParallelAggDOPInvariant(t *testing.T) {
 	tab := ordersTable(t, 400_000)
 	plan := func() *HashAgg {
 		return &HashAgg{
-			Child: &ParallelScan{
+			Child: &Scan{
 				Table:  tab,
 				Select: []string{"custkey", "region", "amount"},
 				Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(80)}},
@@ -143,7 +292,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 	}
 	// Serial reference: a 300k-row input would engage the parallel path
 	// through Run, so drive the serial aggregation loop directly over
-	// the serial scan's rows.
+	// the scan's rows.
 	scan := &Scan{Table: tab, Select: []string{"region", "amount"}}
 	in, err := scan.Run(NewCtx())
 	if err != nil {
@@ -163,7 +312,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 			want[key] = []float64{st.sums[0], float64(st.count), st.mins[2], st.maxs[3]}
 		}
 	}
-	got, _ := runPlan(t, mk(&ParallelScan{Table: tab, Select: []string{"region", "amount"}}), 4)
+	got, _ := runPlan(t, mk(&Scan{Table: tab, Select: []string{"region", "amount"}}), 4)
 	if got.N != len(want) {
 		t.Fatalf("group count: got %d want %d", got.N, len(want))
 	}
@@ -195,4 +344,47 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestScanPinnedCounters pins the exact counters of the scan shapes that
+// ran serially before the morsel scan became the only scan operator — a
+// one-morsel full scan with predicates over main+delta, and index EQ and
+// range access — at the values the serial operator charged, at every DOP.
+func TestScanPinnedCounters(t *testing.T) {
+	delta := deltaOrdersTable(t, 40_000, 300)
+	sealed := ordersTable(t, 40_000)
+	ck, err := sealed.IntCol("custkey")
+	must(t, err)
+	bt := index.NewBTree()
+	index.BuildFrom(bt, ck.Values())
+	idx := AccessSpec{Kind: IndexAccess, Index: bt, IndexCol: "custkey"}
+	amount := expr.Pred{Col: "amount", Op: vec.GT, Val: expr.FloatVal(1000)}
+	cases := []struct {
+		name string
+		scan *Scan
+		rows int
+		want energy.Counters
+	}{
+		{"full-one-morsel", &Scan{Table: delta, Select: []string{"id", "custkey", "amount"}, Preds: []expr.Pred{
+			{Col: "custkey", Op: vec.LT, Val: expr.IntVal(20)},
+			{Col: "region", Op: vec.NE, Val: expr.StrVal("AFRICA")}}},
+			23338, energy.Counters{Instructions: 189090, TuplesIn: 80600, TuplesOut: 85645, BytesReadDRAM: 64800, CacheMisses: 18617}},
+		{"index-eq", &Scan{Table: sealed, Select: []string{"id", "amount"}, Preds: []expr.Pred{
+			{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)}, amount}, Access: idx},
+			922, energy.Counters{Instructions: 9778, TuplesIn: 1011, TuplesOut: 1844, CacheMisses: 1473}},
+		{"index-range", &Scan{Table: sealed, Select: []string{"id", "amount"}, Preds: []expr.Pred{
+			{Col: "custkey", Op: vec.GE, Val: expr.IntVal(95)}, amount}, Access: idx},
+			264, energy.Counters{Instructions: 2920, TuplesIn: 300, TuplesOut: 528, CacheMisses: 439}},
+	}
+	for _, c := range cases {
+		for _, dop := range []int{1, 4} {
+			rel, ctx := runPlan(t, c.scan, dop)
+			if rel.N != c.rows {
+				t.Errorf("%s DOP %d: %d rows, want %d", c.name, dop, rel.N, c.rows)
+			}
+			if w := ctx.Meter.Snapshot(); w != c.want {
+				t.Errorf("%s DOP %d: counters moved\n got %+v\nwant %+v", c.name, dop, w, c.want)
+			}
+		}
+	}
 }

@@ -70,7 +70,7 @@ type ParallelJoin struct {
 	Left, Right       Node
 	LeftKey, RightKey string
 	// Unfused pins the legacy materialize-then-probe path even when the
-	// probe side is a fusable ParallelScan — the control arm of the E24
+	// probe side is a fusable full-access Scan — the control arm of the E24
 	// experiment and of the fused-vs-unfused byte-identity tests.
 	Unfused bool
 }
@@ -86,8 +86,8 @@ func (j *ParallelJoin) Kids() []Node { return []Node{j.Left, j.Right} }
 // Run implements Node.
 func (j *ParallelJoin) Run(ctx *Ctx) (*Relation, error) {
 	// Fused filter→probe path (fused.go): when the probe side is a
-	// fusable ParallelScan, selected probe keys stream straight from the
-	// compressed segments morsel by morsel and the intermediate probe
+	// fusable full-access Scan, selected probe keys stream straight from
+	// the compressed segments morsel by morsel and the intermediate probe
 	// Relation is never built.
 	fp := j.fusedProbePlan()
 	var left *Relation

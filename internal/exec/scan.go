@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/colstore"
@@ -37,14 +39,31 @@ type AccessSpec struct {
 	IndexEpoch int64
 }
 
-// Scan reads from a base table with conjunctive predicates pushed down.
+// Scan reads a base table with conjunctive predicates pushed down; it is
+// the one scan operator for flat tables.
+//
+// A full scan runs on the morsel grid (morsel.go): Ctx.DOP() workers
+// claim MorselRows-row windows, and every window filters through
+// SelectRows — colstore's zone-map-pruned operate-on-compressed kernels
+// (RLE runs, delta boundary search, dictionary code rewrite, bit-packed
+// SWAR) plus tombstone masking — then materializes its own slice of the
+// projected columns.  The coordinator concatenates the slices in morsel
+// order.  The grid is a function of the snapshot's row count alone, so
+// output rows, their order, and the charged counters are identical at
+// every degree of parallelism; a table of one morsel is the serial case.
+//
+// Index access probes the index on the coordinator, verifies the other
+// predicates with point reads, and gathers the surviving rows through the
+// same materialization.  A stale index falls back to the morsel grid.
 type Scan struct {
 	Table  *colstore.Table
 	Select []string // output columns; empty = all
 	Preds  []expr.Pred
 	Access AccessSpec
 	// Codes lists string columns to emit in the dictionary code domain
-	// (see ParallelScan.Codes); the planner requests it for join keys.
+	// (Col.Dict set, I = codes) instead of materializing strings — the
+	// planner requests it for join keys on sealed tables so the join
+	// runs on 8-byte codes end to end.
 	Codes []string
 }
 
@@ -67,83 +86,152 @@ func (s *Scan) Kids() []Node { return nil }
 
 // Run implements Node.
 func (s *Scan) Run(ctx *Ctx) (*Relation, error) {
-	// The snapshot fixes the scan prefix: rows committed after admission
-	// sit beyond n and are never touched.
-	n := s.Table.RowsAsOf(ctx.SnapTS)
-	var rows []int32
-	var err error
-	if s.Access.Kind == IndexAccess && s.Table.WriteEpoch() == s.Access.IndexEpoch {
-		rows, err = s.indexRows(ctx, n)
-	} else {
-		rows, err = s.scanRows(ctx, n)
-	}
+	b, err := s.bind()
 	if err != nil {
 		return nil, err
 	}
-	return s.materialize(ctx, rows, n)
-}
-
-// scanRows evaluates all predicates with column scans over the snapshot
-// prefix [0, n), masks tombstones, and returns the selected row ids.
-func (s *Scan) scanRows(ctx *Ctx, n int) ([]int32, error) {
-	sel := vec.NewBitvec(n)
-	sel.SetAll()
-	for _, p := range s.Preds {
-		pb := vec.NewBitvec(n)
-		ctr, err := s.scanPred(p, n, pb)
+	// The snapshot fixes the scan prefix — and with it the morsel grid —
+	// at admission: rows committed later sit beyond n and are never
+	// touched, so concurrent writes never perturb results, counters, or
+	// the work distribution.
+	snap := ctx.SnapTS
+	n := s.Table.RowsAsOf(snap)
+	if s.Access.Kind == IndexAccess && s.Table.WriteEpoch() == s.Access.IndexEpoch {
+		rows, err := b.indexRows(ctx, n)
 		if err != nil {
 			return nil, err
 		}
-		ctx.Charge("scan:"+p.String(), pb.Count(), ctr)
-		sel.And(pb)
+		out, w := b.gather(rows, 0, n)
+		ctx.Charge("materialize", out.N, w)
+		return out, nil
 	}
-	if len(s.Preds) == 0 {
-		ctx.Charge("scan:all", n, energy.Counters{TuplesIn: uint64(n)})
+	parts, total := runMorsels(ctx, n, func(m, lo, hi int) (*Relation, energy.Counters) {
+		sel, w := b.filter(snap, lo, hi)
+		out, gw := b.gather(sel.Indices(), lo, hi)
+		w.Add(gw)
+		return out, w
+	})
+	if ctx.Canceled() {
+		return nil, ErrCanceled
 	}
-	if w := s.Table.FilterVisible(ctx.SnapTS, 0, n, sel); w != (energy.Counters{}) {
-		ctx.Charge("visibility:"+s.Table.Name, sel.Count(), w)
-	}
-	return sel.Indices(), nil
+	out := b.concat(parts)
+	ctx.Trace(s.Label(), out.N, total)
+	return out, nil
 }
 
-// scanPred dispatches one predicate to the typed column window kernel
-// over the snapshot prefix [0, n).  These are the same kernels the
-// morsel scan runs (and for n == Len they charge exactly what the
-// whole-column scans did), so serial and parallel stay counter-identical.
-func (s *Scan) scanPred(p expr.Pred, n int, out *vec.Bitvec) (energy.Counters, error) {
-	col, err := s.Table.Column(p.Col)
-	if err != nil {
-		return energy.Counters{}, err
+// scanBinding is a Scan resolved against its table: the effective
+// projection with its columns and code-domain flags, and every
+// predicate's type-checked column.  Binding happens once, before any
+// worker starts, so morsel bodies cannot fail; the fused pipelines bind
+// their scan through it too.
+type scanBinding struct {
+	scan     *Scan
+	names    []string
+	outCols  []colstore.Column
+	asCode   []bool
+	predCols []colstore.Column
+}
+
+func (s *Scan) bind() (*scanBinding, error) {
+	b := &scanBinding{scan: s, names: s.Select}
+	if len(b.names) == 0 {
+		for _, d := range s.Table.Schema() {
+			b.names = append(b.names, d.Name)
+		}
 	}
-	if err := checkPredType(col, p); err != nil {
-		return energy.Counters{}, err
+	b.outCols = make([]colstore.Column, len(b.names))
+	for i, name := range b.names {
+		c, err := s.Table.Column(name)
+		if err != nil {
+			return nil, err
+		}
+		b.outCols[i] = c
 	}
-	switch c := col.(type) {
-	case *colstore.IntColumn:
-		return c.ScanRows(p.Op, p.Val.I, 0, n, out), nil
-	case *colstore.FloatColumn:
-		return c.ScanRows(p.Op, p.Val.F, 0, n, out), nil
-	default:
-		return col.(*colstore.StringColumn).ScanRows(p.Op, p.Val.S, 0, n, out), nil
+	b.predCols = make([]colstore.Column, len(s.Preds))
+	for i, p := range s.Preds {
+		c, err := s.Table.Column(p.Col)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkPredType(c, p); err != nil {
+			return nil, err
+		}
+		b.predCols[i] = c
 	}
+	b.asCode = codeFlags(b.names, b.outCols, s.Codes)
+	return b, nil
+}
+
+// SelectRows is the row-selection kernel shared by every scan shape and
+// the DML victim search: it ANDs each predicate's ScanRows over rows
+// [lo, hi) of t, then masks the rows not visible at snap.  cols[i] is
+// preds[i]'s column, bound and type-checked by the caller.  Bit i of the
+// result is row lo+i.  The counters are a pure function of (snapshot,
+// predicates, window); tombstone masking charges per visible tombstone
+// in the window, so every morsel decomposition stays DOP-invariant.
+func SelectRows(t *colstore.Table, preds []expr.Pred, cols []colstore.Column, snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
+	var sel *vec.Bitvec
+	var w energy.Counters
+	for i, p := range preds {
+		pb := vec.NewBitvec(hi - lo)
+		switch c := cols[i].(type) {
+		case *colstore.IntColumn:
+			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
+		case *colstore.FloatColumn:
+			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
+		case *colstore.StringColumn:
+			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
+		}
+		if sel == nil {
+			sel = pb
+		} else {
+			sel.And(pb)
+		}
+	}
+	if sel == nil {
+		sel = vec.NewBitvec(hi - lo)
+		sel.SetAll()
+	}
+	w.Add(t.FilterVisible(snap, lo, hi, sel))
+	return sel, w
+}
+
+// filter is the scan stage of the morsel scan and the fused pipelines:
+// SelectRows over [lo, hi), plus the logical input rows of a
+// predicate-free window, which no predicate kernel charges.
+func (b *scanBinding) filter(snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
+	s := b.scan
+	sel, w := SelectRows(s.Table, s.Preds, b.predCols, snap, lo, hi)
+	if len(s.Preds) == 0 {
+		w.TuplesIn += uint64(hi - lo)
+	}
+	return sel, w
+}
+
+// gather materializes rows of the window [lo, hi) (row lo+r for each r
+// in rows) for every projected column, pricing the output tuples and
+// each column's physical reads.
+func (b *scanBinding) gather(rows []int32, lo, hi int) (*Relation, energy.Counters) {
+	out := &Relation{N: len(rows), Cols: make([]Col, len(b.names))}
+	w := energy.Counters{TuplesOut: uint64(len(rows))}
+	for i, col := range b.outCols {
+		oc, gw := gatherCol(col, b.names[i], b.asCode[i], rows, lo, hi)
+		out.Cols[i] = oc
+		w.Add(gw)
+	}
+	return out, w
 }
 
 // indexRows serves the IndexCol predicate from the index and verifies the
 // remaining predicates row by row (random access, priced as cache
-// misses).
-func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
-	var keyPred *expr.Pred
-	var rest []expr.Pred
-	for i := range s.Preds {
-		if s.Preds[i].Col == s.Access.IndexCol && keyPred == nil {
-			keyPred = &s.Preds[i]
-		} else {
-			rest = append(rest, s.Preds[i])
-		}
-	}
-	if keyPred == nil {
+// misses).  The returned rows are global and ascending.
+func (b *scanBinding) indexRows(ctx *Ctx, n int) ([]int32, error) {
+	s := b.scan
+	key := slices.IndexFunc(s.Preds, func(p expr.Pred) bool { return p.Col == s.Access.IndexCol })
+	if key < 0 {
 		return nil, fmt.Errorf("exec: index access on %q without a predicate on it", s.Access.IndexCol)
 	}
+	keyPred := s.Preds[key]
 	if keyPred.Val.Kind != colstore.Int64 {
 		return nil, fmt.Errorf("exec: index access requires BIGINT predicate, got %s", keyPred)
 	}
@@ -158,20 +246,21 @@ func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
 		if !s.Access.Index.SupportsRange() {
 			return nil, fmt.Errorf("exec: %s index cannot serve range predicate %s", s.Access.Index.Name(), keyPred)
 		}
-		lo, hi := rangeBounds(keyPred.Op, keyPred.Val.I)
-		s.Access.Index.Range(lo, hi, func(k int64, rows []int32) bool {
-			cand = append(cand, rows...)
-			ctr.Instructions += 8
-			ctr.CacheMisses++
-			return true
-		})
+		if lo, hi, ok := rangeBounds(keyPred.Op, keyPred.Val.I); ok {
+			s.Access.Index.Range(lo, hi, func(k int64, rows []int32) bool {
+				cand = append(cand, rows...)
+				ctr.Instructions += 8
+				ctr.CacheMisses++
+				return true
+			})
+		}
 		ctr.Add(lc)
 	default:
 		return nil, fmt.Errorf("exec: index access cannot serve %s", keyPred)
 	}
 	// Index postings arrive key-ordered; downstream operators expect row
 	// order for stable results.
-	sortInt32(cand)
+	slices.Sort(cand)
 	// Verify remaining predicates with point reads, discarding postings
 	// outside the snapshot (beyond the prefix, or tombstoned at it).
 	rows := make([]int32, 0, len(cand))
@@ -179,12 +268,7 @@ func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
 		if int(r) >= n || !s.Table.RowVisible(ctx.SnapTS, int(r)) {
 			continue
 		}
-		ok, w, err := s.rowMatches(int(r), rest)
-		ctr.Add(w)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+		if b.rowMatches(int(r), key, &ctr) {
 			rows = append(rows, r)
 		}
 	}
@@ -194,82 +278,53 @@ func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
 	return rows, nil
 }
 
-// rangeBounds converts an inequality into inclusive index bounds.
-func rangeBounds(op vec.CmpOp, c int64) (lo, hi int64) {
-	const minI, maxI = -1 << 62, 1 << 62
+// rangeBounds converts an inequality into inclusive index bounds over the
+// whole int64 domain.  ok is false when no key can satisfy it (x <
+// MinInt64 or x > MaxInt64), where c-1 or c+1 would wrap around.
+func rangeBounds(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
 	switch op {
 	case vec.LT:
-		return minI, c - 1
+		return math.MinInt64, c - 1, c != math.MinInt64
 	case vec.LE:
-		return minI, c
+		return math.MinInt64, c, true
 	case vec.GT:
-		return c + 1, maxI
+		return c + 1, math.MaxInt64, c != math.MaxInt64
 	case vec.GE:
-		return c, maxI
+		return c, math.MaxInt64, true
 	}
-	return 0, -1
+	return 0, 0, false
 }
 
-// rowMatches verifies predicates against a single row via point reads.
-func (s *Scan) rowMatches(row int, preds []expr.Pred) (bool, energy.Counters, error) {
-	var w energy.Counters
-	for _, p := range preds {
-		col, err := s.Table.Column(p.Col)
-		if err != nil {
-			return false, w, err
+// rowMatches verifies every predicate but the index-served one (skip)
+// against a single row via point reads, charging one cache miss per
+// predicate evaluated.
+func (b *scanBinding) rowMatches(row, skip int, w *energy.Counters) bool {
+	for i, p := range b.scan.Preds {
+		if i == skip {
+			continue
 		}
 		w.CacheMisses++
 		w.Instructions += 6
-		switch c := col.(type) {
+		switch c := b.predCols[i].(type) {
 		case *colstore.IntColumn:
-			if !cmpInt(p.Op, c.Get(row), p.Val.I) {
-				return false, w, nil
+			if !vec.CmpInt64(p.Op, c.Get(row), p.Val.I) {
+				return false
 			}
 		case *colstore.FloatColumn:
-			if !cmpFloat(p.Op, c.Get(row), p.Val.F) {
-				return false, w, nil
+			if !cmpOrdered(p.Op, c.Get(row), p.Val.F) {
+				return false
 			}
 		case *colstore.StringColumn:
-			if !cmpStr(p.Op, c.Get(row), p.Val.S) {
-				return false, w, nil
+			if !cmpOrdered(p.Op, c.Get(row), p.Val.S) {
+				return false
 			}
 		}
 	}
-	return true, w, nil
+	return true
 }
 
-// materialize gathers the selected rows of the projected columns out of
-// the snapshot prefix [0, n).
-func (s *Scan) materialize(ctx *Ctx, rows []int32, n int) (*Relation, error) {
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	outCols := make([]colstore.Column, len(names))
-	for i, name := range names {
-		col, err := s.Table.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		outCols[i] = col
-	}
-	asCode := codeFlags(names, outCols, s.Codes)
-	out := &Relation{N: len(rows), Cols: make([]Col, 0, len(names))}
-	w := energy.Counters{TuplesOut: uint64(len(rows))}
-	for i, name := range names {
-		oc, gw := gatherCol(outCols[i], name, asCode[i], rows, 0, n)
-		out.Cols = append(out.Cols, oc)
-		w.Add(gw)
-	}
-	ctx.Charge("materialize", len(rows), w)
-	return out, nil
-}
-
-func cmpInt(op vec.CmpOp, a, b int64) bool { return vec.CmpInt64(op, a, b) }
-
-func cmpFloat(op vec.CmpOp, a, b float64) bool {
+// cmpOrdered evaluates `a op b` for float and string operands.
+func cmpOrdered[T float64 | string](op vec.CmpOp, a, b T) bool {
 	switch op {
 	case vec.LT:
 		return a < b
@@ -285,66 +340,4 @@ func cmpFloat(op vec.CmpOp, a, b float64) bool {
 		return a != b
 	}
 	return false
-}
-
-func cmpStr(op vec.CmpOp, a, b string) bool {
-	switch op {
-	case vec.LT:
-		return a < b
-	case vec.LE:
-		return a <= b
-	case vec.GT:
-		return a > b
-	case vec.GE:
-		return a >= b
-	case vec.EQ:
-		return a == b
-	case vec.NE:
-		return a != b
-	}
-	return false
-}
-
-// sortInt32 sorts ascending (tiny insertion/quick hybrid via stdlib-free
-// approach would be overkill; use a simple quicksort).
-func sortInt32(a []int32) {
-	if len(a) < 2 {
-		return
-	}
-	quickInt32(a, 0, len(a)-1)
-}
-
-func quickInt32(a []int32, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && a[j] < a[j-1]; j-- {
-					a[j], a[j-1] = a[j-1], a[j]
-				}
-			}
-			return
-		}
-		p := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickInt32(a, lo, j)
-			lo = i
-		} else {
-			quickInt32(a, i, hi)
-			hi = j
-		}
-	}
 }

@@ -80,7 +80,7 @@ func predDisjoint(op vec.CmpOp, v, min, max int64) bool {
 // morsel-parallel scan per surviving shard (selecting the hidden
 // sequence column alongside the projection), then a sequence merge that
 // restores the flat table's row order.  Output relations are
-// byte-identical to a ParallelScan of the unsharded table at every
+// byte-identical to a Scan of the unsharded table at every
 // shard count, DOP, and snapshot.
 type ShardedScan struct {
 	Sharded *colstore.ShardedTable
@@ -159,7 +159,7 @@ func (s *ShardedScan) runShards(ctx *Ctx, names []string) ([]*Relation, error) {
 			npruned++
 			continue
 		}
-		ps := &ParallelScan{Table: sh, Select: sel, Preds: s.Preds}
+		ps := &Scan{Table: sh, Select: sel, Preds: s.Preds}
 		rel, err := ps.Run(ctx)
 		if err != nil {
 			return nil, err
@@ -311,7 +311,7 @@ func (a *HashAgg) shardedAggPlan() *shardedAggPlan {
 	sp := &shardedAggPlan{ss: ss, grouped: len(a.GroupBy) == 1}
 	for _, sh := range ss.Sharded.Shards() {
 		inner := &HashAgg{
-			Child:   &ParallelScan{Table: sh, Select: names, Preds: ss.Preds},
+			Child:   &Scan{Table: sh, Select: names, Preds: ss.Preds},
 			GroupBy: a.GroupBy,
 			Aggs:    a.Aggs,
 		}
@@ -462,11 +462,11 @@ func (j *ShardedJoin) Run(ctx *Ctx) (*Relation, error) {
 			npruned++
 			continue
 		}
-		lrel, err := (&ParallelScan{Table: lsh[i], Select: lsel, Preds: j.Left.Preds}).Run(ctx)
+		lrel, err := (&Scan{Table: lsh[i], Select: lsel, Preds: j.Left.Preds}).Run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		rrel, err := (&ParallelScan{Table: rsh[i], Select: j.Right.names(), Preds: j.Right.Preds}).Run(ctx)
+		rrel, err := (&Scan{Table: rsh[i], Select: j.Right.names(), Preds: j.Right.Preds}).Run(ctx)
 		if err != nil {
 			return nil, err
 		}

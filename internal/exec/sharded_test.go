@@ -198,7 +198,7 @@ func TestShardedScanByteIdentityMatrix(t *testing.T) {
 			ps := ps
 			t.Run(live.name+"/"+pname, func(t *testing.T) {
 				checkShardMatrix(t, live.snap,
-					func() Node { return &ParallelScan{Table: flat, Select: sel, Preds: ps} },
+					func() Node { return &Scan{Table: flat, Select: sel, Preds: ps} },
 					func(k int) Node { return &ShardedScan{Sharded: twins[k], Select: sel, Preds: ps} },
 				)
 			})
@@ -265,7 +265,7 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 				checkShardMatrix(t, live.snap,
 					func() Node {
 						return &HashAgg{
-							Child:   &ParallelScan{Table: flat, Select: c.sel, Preds: c.preds},
+							Child:   &Scan{Table: flat, Select: c.sel, Preds: c.preds},
 							GroupBy: c.groupBy, Aggs: c.aggs,
 						}
 					},
@@ -355,8 +355,8 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 				}
 
 				want := runNodeArm(t, &HashJoin{
-					Left:    &ParallelScan{Table: flatO, Select: lsel, Preds: lp},
-					Right:   &ParallelScan{Table: flatC, Select: rsel, Preds: rp},
+					Left:    &Scan{Table: flatO, Select: lsel, Preds: lp},
+					Right:   &Scan{Table: flatC, Select: rsel, Preds: rp},
 					LeftKey: "custkey", RightKey: "custkey",
 				}, live.snap, 1)
 				if want.rel.N == 0 {
@@ -389,7 +389,7 @@ func TestShardPruningCounters(t *testing.T) {
 	flat, twins := shardTwins(t, n, 0)
 	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 10)}}
 	sel := []string{"custkey", "val"}
-	flatArm := runNodeArm(t, &ParallelScan{Table: flat, Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+	flatArm := runNodeArm(t, &Scan{Table: flat, Select: sel, Preds: preds}, colstore.SnapLatest, 1)
 	var prevBytes uint64
 	for i, k := range shardCounts {
 		a := runNodeArm(t, &ShardedScan{Sharded: twins[k], Select: sel, Preds: preds}, colstore.SnapLatest, 1)

@@ -129,7 +129,7 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 // aggNode builds a filter→aggregate plan; unfused pins the legacy path.
 func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel float64, unfused bool) exec.Node {
 	return &exec.HashAgg{
-		Child: &exec.ParallelScan{Table: f.fact, Select: selCols,
+		Child: &exec.Scan{Table: f.fact, Select: selCols,
 			Preds: []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}},
 		GroupBy: groupBy,
 		Aggs:    aggs,
@@ -142,7 +142,7 @@ func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel
 // the fused key streaming, not the PR 4 code rewrite.
 func (f *e24Fixture) probeNode(sel float64, unfused bool) exec.Node {
 	return &exec.ParallelJoin{
-		Left: &exec.ParallelScan{Table: f.fact,
+		Left: &exec.Scan{Table: f.fact,
 			Select: []string{"region", "lowcard", "packed"},
 			Codes:  []string{"region"},
 			Preds:  []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}},
@@ -243,8 +243,9 @@ func E24BenchArms(n int) ([]E24BenchArm, error) {
 // E24PlannerDecisions plans a fusable aggregate query and a fusable join
 // query through the optimizer and returns their PlanInfos, so callers
 // can assert the planner recognized (and priced) the fusions the
-// executor will actually run.  n must clear the planner's ParallelScan
-// threshold or neither plan contains a fusable scan.
+// executor will actually run.  n must clear opt.ParallelScanRows or the
+// join plans the serial HashJoin, which never fuses (the aggregate fuses
+// at any size).
 func E24PlannerDecisions(n int) (agg, join *opt.PlanInfo, err error) {
 	f, err := newE24Fixture(n)
 	if err != nil {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -197,5 +198,38 @@ func TestPrefixTreeDeepSplit(t *testing.T) {
 	}
 	if pt.Len() != 3 {
 		t.Fatalf("Len = %d", pt.Len())
+	}
+}
+
+// TestRangeAcceptsInt64Extremes: range indexes must serve bounds at the
+// ends of the int64 domain — a full-domain range visits every key in
+// order, a range pinned to one extreme visits exactly that key, and an
+// empty range (lo > hi) visits nothing.
+func TestRangeAcceptsInt64Extremes(t *testing.T) {
+	keys := []int64{math.MinInt64, -1<<62 - 5, -3, 0, 7, 1<<62 + 5, math.MaxInt64}
+	for _, idx := range []Index{NewBTree(), NewPrefixTree()} {
+		for i, k := range keys {
+			idx.Insert(k, int32(i))
+		}
+		visit := func(lo, hi int64) []int64 {
+			var got []int64
+			idx.Range(lo, hi, func(k int64, _ []int32) bool {
+				got = append(got, k)
+				return true
+			})
+			return got
+		}
+		if got := visit(math.MinInt64, math.MaxInt64); !reflect.DeepEqual(got, keys) {
+			t.Errorf("%s: full-domain range visited %v", idx.Name(), got)
+		}
+		if got := visit(math.MinInt64, math.MinInt64); !reflect.DeepEqual(got, keys[:1]) {
+			t.Errorf("%s: [MinInt64, MinInt64] visited %v", idx.Name(), got)
+		}
+		if got := visit(math.MaxInt64, math.MaxInt64); !reflect.DeepEqual(got, keys[6:]) {
+			t.Errorf("%s: [MaxInt64, MaxInt64] visited %v", idx.Name(), got)
+		}
+		if got := visit(math.MaxInt64, math.MinInt64); got != nil {
+			t.Errorf("%s: empty range visited %v", idx.Name(), got)
+		}
 	}
 }

@@ -51,9 +51,11 @@ type Query struct {
 	LimitN  int // 0 = no limit
 }
 
-// ParallelScanRows is the table cardinality at which the planner swaps a
-// serial full scan for the morsel-driven exec.ParallelScan.  Below it the
-// worker-pool launch and merge overheads outweigh the morsel win.
+// ParallelScanRows is the table cardinality at which a full scan counts
+// as parallel work: the planner sets PlanInfo.Parallel (the engine's DOP
+// hint) and sizes a partitioned join's fusable probe side on the whole
+// table.  Below it the worker-pool launch and merge overheads outweigh
+// the morsel win.
 const ParallelScanRows = 1 << 18
 
 // ParallelJoinRows is the combined estimated input cardinality at which
@@ -241,12 +243,11 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		if err != nil {
 			return nil, err
 		}
-		// Morsel-driven parallel scan once the cardinality clears the
-		// threshold and the access path is a full scan (index access
-		// stays serial: its random point reads don't morselize).
+		// A full scan of a table past the threshold is worth more than
+		// one core (index access runs on the coordinator: its random
+		// point reads don't morselize).
 		if choice.Spec.Kind == exec.FullScan && tab.Rows() >= ParallelScanRows {
 			info.Parallel = true
-			return &exec.ParallelScan{Table: tab, Select: sel, Preds: preds, Codes: codes}, nil
 		}
 		return &exec.Scan{Table: tab, Select: sel, Preds: preds, Access: choice.Spec, Codes: codes}, nil
 	}
@@ -438,7 +439,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			ji.PartitionBytes = uint64(d.buildRows * (8 + 12))
 			// Fused probe feed: the probe-side scan never materializes its
 			// relation, so its estimate sheds the materialization terms.
-			if ps, ok := probe.(*exec.ParallelScan); ok && exec.FusedProbeEligible(ps, lk) {
+			if ps, ok := probe.(*exec.Scan); ok && exec.FusedProbeEligible(ps, lk) {
 				ji.FusedProbe = true
 				info.FusedProbes = append(info.FusedProbes, probeName)
 				if ts, err := c.Stats(probeName); err == nil {
@@ -471,7 +472,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		}
 		// Fused filter→aggregate: the scan's filtered relation is never
 		// materialized, so the estimate sheds its materialization terms.
-		if ps, ok := root.(*exec.ParallelScan); ok && exec.FusedAggEligible(ps, q.GroupBy, aggs) {
+		if ps, ok := root.(*exec.Scan); ok && exec.FusedAggEligible(ps, q.GroupBy, aggs) {
 			info.FusedAgg = true
 			if ts, err := c.Stats(q.From); err == nil {
 				info.creditFusion(cm, EstimateFusionSavings(ts, predsOf[q.From], len(needed[q.From])))

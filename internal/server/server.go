@@ -5,18 +5,18 @@
 // of queued lookalikes, revocable-lease resizes, and completions all
 // interleave per request.
 //
-// Endpoints (versioned under /v1; the original unversioned paths remain
-// as deprecated aliases that answer identically plus Deprecation/Link
-// headers pointing at their successors):
+// Endpoints (versioned under /v1; the unversioned paths of the first
+// release are gone and answer 404):
 //
 //	POST /v1/query   {"sql": "...", "objective": "min-energy", "client": "key"}
 //	POST /v1/write   {"sql": "INSERT|UPDATE|DELETE ...", "client": "key"}
 //	GET  /v1/stats   plan-cache counters, energy books, per-client budgets
 //	GET  /v1/healthz liveness
 //
-// Every error response, on every route and both path versions, carries
-// one envelope: {"error":{"code":"...","message":"...","retry_after_s":N}}
+// Every error response, on every route, carries one envelope:
+// {"error":{"code":"...","message":"...","retry_after_s":N}}
 // (retry_after_s only on 429s, mirroring the Retry-After header).
+// Request bodies over maxBodyBytes answer 413 payload_too_large.
 //
 // Writes execute synchronously at their arrival instant — INSERT appends
 // to the table's delta, UPDATE/DELETE tombstone through MVCC — and are
@@ -42,11 +42,12 @@
 // the measured bill at completion: admission outcomes then depend only
 // on the arrival script, never on completion timing, which keeps
 // 402-style rejections deterministic across core budgets.  The measured
-// spend is still tracked per client in /stats.
+// spend is still tracked per client in /v1/stats.
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -137,36 +138,17 @@ func New(eng *core.Engine, cfg Config, clock Clock) *Server {
 		merging:  make(map[string]bool),
 	}
 	s.mux = http.NewServeMux()
-	for _, r := range []struct {
-		path string
-		h    http.HandlerFunc
-	}{
-		{"/query", s.handleQuery},
-		{"/write", s.handleWrite},
-		{"/stats", s.handleStats},
-		{"/healthz", s.handleHealthz},
-	} {
-		s.mux.HandleFunc("/v1"+r.path, r.h)
-		s.mux.HandleFunc(r.path, deprecatedAlias(r.path, r.h))
-	}
+	s.mux.HandleFunc("/v1/query", s.handleQuery)
+	s.mux.HandleFunc("/v1/write", s.handleWrite)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	return s
-}
-
-// deprecatedAlias keeps the original unversioned paths answering
-// identically while steering clients to /v1 via RFC 8594 Deprecation
-// and successor-version Link headers.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path))
-		h(w, r)
-	}
 }
 
 // ServeHTTP dispatches to the server's routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// queryRequest is the POST /query body.
+// queryRequest is the POST /v1/query body.
 type queryRequest struct {
 	SQL       string `json:"sql"`
 	Objective string `json:"objective,omitempty"`
@@ -197,8 +179,8 @@ type reqError struct {
 	retryAfter int // seconds; > 0 adds a Retry-After header
 }
 
-// errEnvelope is the one error shape every route returns, on both path
-// versions: {"error":{"code","message","retry_after_s?"}}.  Machine
+// errEnvelope is the one error shape every route returns:
+// {"error":{"code","message","retry_after_s?"}}.  Machine
 // retry logic keys on code; message is for humans.
 type errEnvelope struct {
 	Error errDetail `json:"error"`
@@ -208,6 +190,28 @@ type errDetail struct {
 	Code        string `json:"code"`
 	Message     string `json:"message"`
 	RetryAfterS int    `json:"retry_after_s,omitempty"`
+}
+
+// maxBodyBytes bounds a request body.  The largest legitimate body, a
+// multi-row INSERT, is a few KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// On failure it answers 413 payload_too_large or 400 bad_request and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errBody("payload_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), 0))
+	default:
+		writeJSON(w, http.StatusBadRequest, errBody("bad_request", "bad request body: "+err.Error(), 0))
+	}
+	return false
 }
 
 // errBody renders the uniform error payload.
@@ -437,8 +441,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody("bad_request", "bad request body: "+err.Error(), 0))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -496,7 +499,7 @@ func cacheLabel(hit bool) string {
 	return "miss"
 }
 
-// statsResponse is the GET /stats body.
+// statsResponse is the GET /v1/stats body.
 type statsResponse struct {
 	VirtualNowNS int64                  `json:"virtual_now_ns"`
 	Queued       int                    `json:"queued"`

@@ -16,9 +16,8 @@ import (
 )
 
 // TestErrorEnvelopeAllRoutes is the API-redesign acceptance for the
-// error contract: every failing status, on every route, on BOTH path
-// versions, answers with the one envelope shape
-// {"error":{"code","message","retry_after_s?"}}.
+// error contract: every failing status, on every route, answers with
+// the one envelope shape {"error":{"code","message","retry_after_s?"}}.
 func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true},
 		map[string]energy.Joules{"bob": 1e-12})
@@ -28,7 +27,7 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	cases := []struct {
 		name     string
 		method   string
-		path     string // version-less; the test tries both spellings
+		path     string // under /v1
 		body     string
 		apiKey   string
 		want     int
@@ -55,33 +54,69 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"get on write", "GET", "/write", ``, "", 405, "method_not_allowed"},
 	}
 	for _, c := range cases {
-		for _, prefix := range []string{"", "/v1"} {
-			req, _ := http.NewRequest(c.method, ts.URL+prefix+c.path, strings.NewReader(c.body))
-			if c.apiKey != "" {
-				req.Header.Set("X-API-Key", c.apiKey)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != c.want {
-				t.Fatalf("%s %s%s: status %d, want %d (body %s)", c.name, prefix, c.path, resp.StatusCode, c.want, raw)
-			}
-			var env errEnvelope
-			if err := json.Unmarshal(raw, &env); err != nil {
-				t.Fatalf("%s %s%s: body %q is not the error envelope: %v", c.name, prefix, c.path, raw, err)
-			}
-			if env.Error.Code != c.wantCode {
-				t.Fatalf("%s %s%s: code %q, want %q", c.name, prefix, c.path, env.Error.Code, c.wantCode)
-			}
-			if env.Error.Message == "" {
-				t.Fatalf("%s %s%s: empty error message", c.name, prefix, c.path)
-			}
-			if env.Error.RetryAfterS != 0 {
-				t.Fatalf("%s %s%s: unexpected retry_after_s %d", c.name, prefix, c.path, env.Error.RetryAfterS)
-			}
+		req, _ := http.NewRequest(c.method, ts.URL+"/v1"+c.path, strings.NewReader(c.body))
+		if c.apiKey != "" {
+			req.Header.Set("X-API-Key", c.apiKey)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s /v1%s: status %d, want %d (body %s)", c.name, c.path, resp.StatusCode, c.want, raw)
+		}
+		env := decodeEnvelope(t, raw)
+		if env.Error.Code != c.wantCode {
+			t.Fatalf("%s /v1%s: code %q, want %q", c.name, c.path, env.Error.Code, c.wantCode)
+		}
+		if env.Error.Message == "" {
+			t.Fatalf("%s /v1%s: empty error message", c.name, c.path)
+		}
+		if env.Error.RetryAfterS != 0 {
+			t.Fatalf("%s /v1%s: unexpected retry_after_s %d", c.name, c.path, env.Error.RetryAfterS)
+		}
+	}
+}
+
+func decodeEnvelope(t *testing.T, raw []byte) errEnvelope {
+	t.Helper()
+	var env errEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", raw, err)
+	}
+	return env
+}
+
+// TestBodyLimit: /v1/query and /v1/write accept a body of exactly
+// maxBodyBytes and answer a body one byte longer with 413
+// payload_too_large in the error envelope.
+func TestBodyLimit(t *testing.T) {
+	s, sc := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true}, nil)
+	stop := startDriver(sc) // queries park until virtual time completes them
+	defer stop()
+	for _, c := range []struct{ path, sql string }{
+		{"/v1/query", "SELECT COUNT(*) FROM orders WHERE custkey = 1"},
+		{"/v1/write", "INSERT INTO orders VALUES (900001, -77, 1.5)"},
+	} {
+		// Trailing blanks inside the SQL string pad the body to size.
+		body := func(size int) string {
+			head := `{"sql":"` + c.sql
+			return head + strings.Repeat(" ", size-len(head)-2) + `"}`
+		}
+		under := httptest.NewRecorder()
+		s.ServeHTTP(under, httptest.NewRequest("POST", c.path, strings.NewReader(body(maxBodyBytes))))
+		if under.Code != http.StatusOK {
+			t.Fatalf("%s: %d-byte body answered %d: %s", c.path, maxBodyBytes, under.Code, under.Body)
+		}
+		over := httptest.NewRecorder()
+		s.ServeHTTP(over, httptest.NewRequest("POST", c.path, strings.NewReader(body(maxBodyBytes+1))))
+		if over.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d-byte body answered %d, want 413: %s", c.path, maxBodyBytes+1, over.Code, over.Body)
+		}
+		if env := decodeEnvelope(t, over.Body.Bytes()); env.Error.Code != "payload_too_large" || env.Error.Message == "" {
+			t.Fatalf("%s: 413 envelope %+v", c.path, env.Error)
 		}
 	}
 }
@@ -108,40 +143,30 @@ func TestQueueFull429Envelope(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasHeaders: unversioned paths answer identically but
-// carry Deprecation plus a successor-version Link; /v1 paths carry
-// neither.
-func TestDeprecatedAliasHeaders(t *testing.T) {
+// TestUnversionedPathsGone: the unversioned aliases of the first
+// release are retired, so only the /v1 spellings are routed.
+func TestUnversionedPathsGone(t *testing.T) {
 	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true}, nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, path := range []string{"/healthz", "/stats"} {
-		old, err := http.Get(ts.URL + path)
+	for _, path := range []string{"/query", "/write", "/stats", "/healthz"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldBody, _ := io.ReadAll(old.Body)
-		old.Body.Close()
-		if old.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s: missing Deprecation header", path)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
 		}
-		if link := old.Header.Get("Link"); link != fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path) {
-			t.Fatalf("%s: Link header %q", path, link)
-		}
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Body, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-		if v1.Header.Get("Deprecation") != "" || v1.Header.Get("Link") != "" {
-			t.Fatalf("/v1%s: versioned path carries deprecation headers", path)
-		}
-		if string(oldBody) != string(v1Body) || old.StatusCode != v1.StatusCode {
-			t.Fatalf("%s: alias and /v1 answers diverge: %d %q vs %d %q",
-				path, old.StatusCode, oldBody, v1.StatusCode, v1Body)
-		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/healthz: status %d", resp.StatusCode)
 	}
 }
 
