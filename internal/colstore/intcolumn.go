@@ -58,6 +58,8 @@ type IntColumn struct {
 	segs   []*intSegment
 	starts []int // logical row offset of each segment
 	n      int
+
+	sample strideMemo // sealed prefix's share of StrideDistinct
 }
 
 // NewIntColumn returns an empty integer column.

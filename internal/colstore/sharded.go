@@ -115,13 +115,8 @@ func shardTable(t *Table, shardCol string, k int, cuts []int64) (*ShardedTable, 
 	if t.schema[ki].Type != Int64 {
 		return nil, fmt.Errorf("colstore: shard column %q must be BIGINT", shardCol)
 	}
-	keyCol := t.cols[ki].(*IntColumn)
 	n := t.lenLocked()
-
-	keys := make([]int64, n)
-	for i := 0; i < n; i++ {
-		keys[i] = keyCol.Get(i)
-	}
+	keys := t.cols[ki].(*IntColumn).Values()
 	if cuts == nil {
 		cuts = equiDepthCuts(keys, k)
 	}
@@ -136,26 +131,17 @@ func shardTable(t *Table, shardCol string, k int, cuts []int64) (*ShardedTable, 
 	for i := 0; i < k; i++ {
 		s.shards = append(s.shards, NewTable(fmt.Sprintf("%s#%d", t.Name, i), shardSchema))
 	}
-	vals := make([]any, len(t.schema)+1)
-	for i := 0; i < n; i++ {
-		for ci, c := range t.cols {
-			switch cc := c.(type) {
-			case *IntColumn:
-				vals[ci] = cc.Get(i)
-			case *FloatColumn:
-				vals[ci] = cc.Get(i)
-			case *StringColumn:
-				vals[ci] = cc.Get(i)
-			}
-		}
-		vals[len(t.schema)] = int64(i) // global sequence
+	row := make([]any, len(t.schema)+1)
+	err := t.eachRowLocked(func(i int, vals []any) error {
+		copy(row, vals)
+		row[len(t.schema)] = int64(i) // global sequence
 		sh := s.shards[s.shardForLocked(keys[i])]
 		sh.mu.Lock()
-		err := sh.appendRowLocked(vals)
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+		defer sh.mu.Unlock()
+		return sh.appendRowLocked(row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.recomputeBoundsLocked()
 	return s, nil
@@ -319,10 +305,11 @@ func (s *ShardedTable) WidenBounds(i int, key int64) {
 	}
 }
 
-// RecomputeBounds rescans each shard's key column for its observed
-// min/max (over all physical rows — conservative for every snapshot) and
-// advances nextSeq past the highest stored sequence, which is how replay
-// recovers the counter after a restart.
+// RecomputeBounds derives each shard's observed key min/max (over all
+// physical rows — conservative for every snapshot) and advances nextSeq
+// past the highest stored sequence, which is how replay recovers the
+// counter after a restart.  Both come from the columns' zone maps: the
+// sealed segments' recorded min/max plus a pass over the raw delta.
 func (s *ShardedTable) RecomputeBounds() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,16 +323,11 @@ func (s *ShardedTable) recomputeBoundsLocked() {
 		kc := sh.cols[sh.schema.ColIndex(s.ShardCol)].(*IntColumn)
 		qc := sh.cols[sh.schema.ColIndex(ShardSeqCol)].(*IntColumn)
 		b := ShardBound{Min: math.MaxInt64, Max: math.MinInt64}
-		for r := 0; r < kc.Len(); r++ {
-			if v := kc.Get(r); v < b.Min {
-				b.Min = v
-			}
-			if v := kc.Get(r); v > b.Max {
-				b.Max = v
-			}
-			if q := qc.Get(r); q >= s.nextSeq {
-				s.nextSeq = q + 1
-			}
+		if lo, hi, ok := kc.MinMax(); ok {
+			b = ShardBound{Min: lo, Max: hi}
+		}
+		if _, q, ok := qc.MinMax(); ok && q >= s.nextSeq {
+			s.nextSeq = q + 1
 		}
 		sh.mu.RUnlock()
 		s.bounds[i] = b
@@ -438,21 +420,12 @@ func (s *ShardedTable) Rebalance(horizon int64) (RebalanceStats, error) {
 		if sh.writeEpoch > epoch {
 			epoch = sh.writeEpoch
 		}
-		for r := 0; r < sh.lenLocked(); r++ {
-			vals := make([]any, len(shardSchema))
-			for ci, c := range sh.cols {
-				switch cc := c.(type) {
-				case *IntColumn:
-					vals[ci] = cc.Get(r)
-				case *FloatColumn:
-					vals[ci] = cc.Get(r)
-				case *StringColumn:
-					vals[ci] = cc.Get(r)
-				}
-			}
+		sh.eachRowLocked(func(_ int, vals []any) error {
+			vals = append([]any(nil), vals...)
 			rows = append(rows, taggedRow{seq: vals[qi].(int64), shard: si, vals: vals})
 			keys = append(keys, vals[ki].(int64))
-		}
+			return nil
+		})
 		sh.mu.RUnlock()
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -174,6 +175,48 @@ func (t *Table) appendRowLocked(vals []any) error {
 			c.Append(v.(float64))
 		case *StringColumn:
 			c.Append(v.(string))
+		}
+	}
+	return nil
+}
+
+// eachRowLocked calls fn with every physical row in order, its values in
+// schema order.  vals is reused between calls.  Columns are decoded one
+// SegSize chunk at a time (DecodeRange), so sealed segments are streamed
+// once instead of point-read row by row.
+func (t *Table) eachRowLocked(fn func(row int, vals []any) error) error {
+	n := t.lenLocked()
+	codes := make([][]int64, len(t.cols)) // decoded chunk of each int/string column
+	vals := make([]any, len(t.cols))
+	for lo := 0; lo < n; lo += SegSize {
+		hi := min(lo+SegSize, n)
+		for ci, c := range t.cols {
+			var ic *IntColumn
+			switch cc := c.(type) {
+			case *IntColumn:
+				ic = cc
+			case *StringColumn:
+				ic = cc.codes
+			default:
+				continue
+			}
+			codes[ci] = slices.Grow(codes[ci][:0], hi-lo)[:hi-lo]
+			ic.DecodeRange(lo, hi, codes[ci])
+		}
+		for r := lo; r < hi; r++ {
+			for ci, c := range t.cols {
+				switch cc := c.(type) {
+				case *IntColumn:
+					vals[ci] = codes[ci][r-lo]
+				case *FloatColumn:
+					vals[ci] = cc.vals[r]
+				case *StringColumn:
+					vals[ci] = cc.values[codes[ci][r-lo]]
+				}
+			}
+			if err := fn(r, vals); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

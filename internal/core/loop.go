@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,15 +27,20 @@ import (
 // (it reports exec.ErrCanceled); if every member canceled, the physical
 // execution is elided entirely.
 //
+// The loop holds a ticket only while it is live: once a ticket settles
+// it is handed to the caller (returned by Offer or by the call that
+// retired its group) and the loop forgets it, so a long-running server
+// keeps no plan or relation of a query it has answered.
+//
 // Loop is not goroutine-safe — the server serializes access under its
 // own mutex, and Drain drives it from one goroutine.
 type Loop struct {
-	e       *Engine
-	mq      *sched.Loop
-	tickets map[int]*Ticket
-	order   []int // ticket IDs in offer order
-	nextID  int
-	fm      energy.FleetMeter
+	e      *Engine
+	mq     *sched.Loop
+	live   map[int]*Ticket // unsettled tickets by ID
+	order  []int           // live ticket IDs in offer order
+	nextID int
+	fm     energy.FleetMeter
 }
 
 // Ticket is one in-flight query in the online loop.  Its embedded
@@ -94,7 +100,7 @@ func (e *Engine) NewLoop(cfg SchedulerConfig) *Loop {
 			PState:     e.cm.PState,
 			MemGB:      e.residentGB(),
 		}),
-		tickets: make(map[int]*Ticket),
+		live: make(map[int]*Ticket),
 	}
 }
 
@@ -115,8 +121,11 @@ func (l *Loop) Backlog() time.Duration { return l.mq.Backlog() }
 // completion, or false when the machine is idle.
 func (l *Loop) NextFinish() (time.Duration, bool) { return l.mq.NextFinish() }
 
-// Ticket returns a previously offered ticket (nil for unknown IDs).
-func (l *Loop) Ticket(id int) *Ticket { return l.tickets[id] }
+// Ticket returns a live ticket (nil for unknown or settled IDs).
+func (l *Loop) Ticket(id int) *Ticket { return l.live[id] }
+
+// Live returns the number of offered tickets that have not settled.
+func (l *Loop) Live() int { return len(l.live) }
 
 // Offer plans a query and submits it to the virtual machine at arrival
 // time `at`, returning the ticket.  A positive energy budget overrides
@@ -152,7 +161,6 @@ func (l *Loop) offer(id int, at time.Duration, q *opt.Query, obj opt.Objective, 
 		t.ID = id
 		t.Rejected = true
 		t.Err = fmt.Errorf("core: submission %d: %w", id, err)
-		l.register(t)
 		return t
 	}
 	return l.offerPlanned(id, at, node, info, obj)
@@ -186,8 +194,7 @@ func (l *Loop) offerPlanned(id int, at time.Duration, node exec.Node, info *opt.
 		Goal:     goalOf(obj),
 	})
 	if s.Rejected {
-		t.Rejected = true
-		t.done = true
+		l.reject(t)
 	}
 	return t
 }
@@ -209,7 +216,6 @@ func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
 		t.ID = id
 		t.Rejected = true
 		t.Err = fmt.Errorf("core: merge submission %d: %w", id, err)
-		l.register(t)
 		return t
 	}
 	t := &Ticket{Lease: exec.NewLease(1), node: node, IsMerge: true, MergeTable: table}
@@ -227,8 +233,7 @@ func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
 		Background: true,
 	})
 	if s.Rejected {
-		t.Rejected = true
-		t.done = true
+		l.reject(t)
 	}
 	return t
 }
@@ -236,12 +241,14 @@ func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
 // oldestLiveSnap returns the oldest snapshot any unfinished read ticket
 // holds — the merge horizon: tombstones at or below it are invisible to
 // every in-flight reader, so their rows may be compacted away.  Zero
-// (compact everything) when no reader is in flight.
+// (compact everything) when no reader is in flight.  It scans only live
+// tickets; mid-finalize, a ticket already settled in the same call is
+// gone from the map (nil) or, within the retiring group, marked done.
 func (l *Loop) oldestLiveSnap() int64 {
 	var oldest int64
 	for _, id := range l.order {
-		t := l.tickets[id]
-		if t.done || t.IsMerge || t.IsRebalance || t.SnapTS <= 0 {
+		t := l.live[id]
+		if t == nil || t.done || t.IsMerge || t.IsRebalance || t.SnapTS <= 0 {
 			continue
 		}
 		if oldest == 0 || t.SnapTS < oldest {
@@ -252,8 +259,17 @@ func (l *Loop) oldestLiveSnap() int64 {
 }
 
 func (l *Loop) register(t *Ticket) {
-	l.tickets[t.ID] = t
+	l.live[t.ID] = t
 	l.order = append(l.order, t.ID)
+}
+
+// reject settles a ticket the scheduler refused at admission and drops
+// it from the live set.
+func (l *Loop) reject(t *Ticket) {
+	t.Rejected = true
+	t.done = true
+	delete(l.live, t.ID)
+	l.order = slices.DeleteFunc(l.order, func(id int) bool { return id == t.ID })
 }
 
 // React runs the post-arrival half of an event — dispatch plus budget
@@ -280,13 +296,14 @@ func (l *Loop) RunToIdle() []*Ticket {
 // non-canceled member runs the physical plan once at the group's widest
 // grant, and every other live member adopts the relation with the full
 // work attributed to it (the fleet meter's two books record the gap).
+// Settled tickets leave the live set.
 func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 	var out []*Ticket
 	e := l.e
 	for _, c := range cs {
 		var runner *Ticket
 		for _, seq := range c.Members {
-			t := l.tickets[seq]
+			t := l.live[seq]
 			ts := l.mq.Sched(seq)
 			t.Start, t.Finish, t.Latency = ts.Start, ts.Finish, ts.Latency
 			t.DOP, t.GroupSize = ts.MaxDOP, ts.GroupSize
@@ -328,7 +345,7 @@ func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 			}
 		}
 		for _, seq := range c.Members {
-			t := l.tickets[seq]
+			t := l.live[seq]
 			if t == runner {
 				continue
 			}
@@ -343,26 +360,23 @@ func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 			t.Rel, t.Work, t.Energy = runner.Rel, runner.Work, runner.Energy
 			l.fm.AddSharedQuery(t.Work)
 		}
+		for _, seq := range c.Members {
+			delete(l.live, seq)
+		}
 	}
+	l.order = slices.DeleteFunc(l.order, func(id int) bool { return l.live[id] == nil })
 	return out
 }
 
-// Report snapshots the loop into the same ScheduleReport Drain returns:
-// results by ticket ID, the fleet schedule, and the meter's two books.
-// It may be called repeatedly (a serving /stats endpoint) — the
-// lifetime meter is charged per execution, never here.
+// Report snapshots the loop into the ScheduleReport Drain returns: the
+// fleet schedule and the meter's two books.  Results stays empty — the
+// loop keeps no settled ticket; Drain fills it from the tickets it was
+// handed.  It may be called repeatedly (a serving /stats endpoint) —
+// the lifetime meter is charged per execution, never here.
 func (l *Loop) Report() *ScheduleReport {
 	fleet := l.mq.Result()
 	sort.Slice(fleet.Tasks, func(i, j int) bool { return fleet.Tasks[i].Seq < fleet.Tasks[j].Seq })
-	ids := append([]int(nil), l.order...)
-	sort.Ints(ids)
-	report := &ScheduleReport{
-		Results: make([]SubmissionResult, 0, len(ids)),
-		Fleet:   fleet,
-	}
-	for _, id := range ids {
-		report.Results = append(report.Results, l.tickets[id].SubmissionResult)
-	}
+	report := &ScheduleReport{Fleet: fleet}
 	report.Attributed = l.fm.Attributed()
 	report.Physical = l.fm.Physical()
 	report.FleetDynamic = l.e.model.DynamicEnergy(report.Physical, l.e.cm.PState).Total()

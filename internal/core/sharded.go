@@ -79,7 +79,6 @@ func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
 		t.ID = id
 		t.Rejected = true
 		t.Err = fmt.Errorf("core: rebalance submission %d: %w", id, err)
-		l.register(t)
 		return t
 	}
 	t := &Ticket{Lease: exec.NewLease(1), node: node, IsRebalance: true, RebalanceTable: table}
@@ -97,8 +96,7 @@ func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
 		Background: true,
 	})
 	if s.Rejected {
-		t.Rejected = true
-		t.done = true
+		l.reject(t)
 	}
 	return t
 }

@@ -75,7 +75,7 @@ type SubmissionResult struct {
 
 // ScheduleReport summarizes one Drain.
 type ScheduleReport struct {
-	Results []SubmissionResult // in submission order
+	Results []SubmissionResult // by submission ID (Drain only; Loop.Report leaves it empty)
 	Fleet   *sched.MQResult    // the virtual-time schedule
 	// Attributed/Physical are the fleet meter's two books over the
 	// MEASURED counters: per-query bills vs work the machine performed
@@ -179,16 +179,27 @@ func (e *Engine) Drain(cfg SchedulerConfig) (*ScheduleReport, error) {
 		}
 		return order[i].ID < order[j].ID
 	})
+	// The loop hands each ticket over as it settles; collect them for
+	// the per-submission results.
+	settled := make([]*Ticket, 0, len(order))
 	for ai := 0; ai < len(order); {
 		at := order[ai].Arrival
-		l.AdvanceTo(at)
+		settled = append(settled, l.AdvanceTo(at)...)
 		for ai < len(order) && order[ai].Arrival == at {
 			s := order[ai]
-			l.offer(s.ID, at, s.Q, s.Objective, s.EnergyBudget)
+			if t := l.offer(s.ID, at, s.Q, s.Objective, s.EnergyBudget); t.Done() {
+				settled = append(settled, t)
+			}
 			ai++
 		}
-		l.React()
+		settled = append(settled, l.React()...)
 	}
-	l.RunToIdle()
-	return l.Report(), nil
+	settled = append(settled, l.RunToIdle()...)
+	sort.Slice(settled, func(i, j int) bool { return settled[i].ID < settled[j].ID })
+	rep := l.Report()
+	rep.Results = make([]SubmissionResult, len(settled))
+	for i, t := range settled {
+		rep.Results[i] = t.SubmissionResult
+	}
+	return rep, nil
 }

@@ -126,7 +126,7 @@ func (c *Catalog) AddTable(t *colstore.Table) {
 			ic, _ := t.IntCol(d.Name)
 			if min, max, ok := ic.MinMax(); ok {
 				cs.Min, cs.Max, cs.HasMinMax = min, max, true
-				cs.Distinct = estimateDistinct(ic)
+				cs.Distinct = estimateDistinct(ic, min, max)
 			}
 		case colstore.String:
 			sc, _ := t.StrCol(d.Name)
@@ -138,33 +138,27 @@ func (c *Catalog) AddTable(t *colstore.Table) {
 	c.stats[t.Name] = ts
 }
 
-// estimateDistinct samples up to 4096 rows and scales the observed
-// distinct ratio, capped by the domain span.
-func estimateDistinct(ic *colstore.IntColumn) int {
+// distinctSample is the size of the strided sample behind the
+// distinct-count estimate.
+const distinctSample = 4096
+
+// estimateDistinct samples every step-th row, step = n/distinctSample
+// (at least 1), and counts the distinct sampled values, capped by the
+// domain span [lo, hi].  When every sampled value differs the column is
+// taken to be unique.  The column memoizes its sealed segments' share of
+// the sample, so a refresh after a write reads only the delta's sampled
+// rows.
+func estimateDistinct(ic *colstore.IntColumn, lo, hi int64) int {
 	n := ic.Len()
 	if n == 0 {
 		return 0
 	}
-	sample := 4096
-	if sample > n {
-		sample = n
-	}
-	seen := make(map[int64]struct{}, sample)
-	step := n / sample
-	if step == 0 {
-		step = 1
-	}
-	for i := 0; i < n; i += step {
-		seen[ic.Get(i)] = struct{}{}
-	}
-	d := len(seen)
-	if d == sample { // likely unique
+	d, taken := ic.StrideDistinct(max(1, n/distinctSample))
+	if d == taken { // likely unique
 		d = n
 	}
-	if min, max, ok := ic.MinMax(); ok {
-		if span := max - min + 1; int64(d) > span && span > 0 {
-			d = int(span)
-		}
+	if span := hi - lo + 1; int64(d) > span && span > 0 {
+		d = int(span)
 	}
 	return d
 }

@@ -193,3 +193,55 @@ func TestHTTPClientBudget402(t *testing.T) {
 		t.Fatalf("client book %+v, want rejected_402=1 committed_j=0", st.Clients["bob"])
 	}
 }
+
+// TestSettledTicketsReleased: after a run of reads, writes and the
+// background merges they trigger, and an idle advance, the loop holds no
+// ticket — every settled one was handed to its waiter and dropped — while
+// /v1/stats still counts every query and merge it served.
+func TestSettledTicketsReleased(t *testing.T) {
+	sc := NewSimClock()
+	s := New(testEngine(t, 1<<12), Config{
+		Sched:          core.SchedulerConfig{Budget: 2, BatchScans: true, Arbitrate: true},
+		MergeDeltaRows: 3,
+	}, sc)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	stop := startDriver(sc)
+
+	post := func(route, sqlText string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(fmt.Sprintf(`{"sql":%q}`, sqlText)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %q: %d %s", route, sqlText, resp.StatusCode, raw)
+		}
+	}
+	const n = 24
+	for i := 0; i < n; i++ {
+		post("/v1/query", fmt.Sprintf("SELECT COUNT(*) FROM orders WHERE custkey = %d", i%5))
+		if i%3 == 0 {
+			post("/v1/write", fmt.Sprintf("INSERT INTO orders VALUES (%d, -3, 1.5)", 930000+i))
+		}
+	}
+	stop()
+	sc.Advance(sc.Now() + time.Hour) // retire any background merge still queued
+
+	st := getStats(t, ts.URL)
+	s.mu.Lock()
+	live := s.loop.Live()
+	s.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("loop still holds %d tickets after an idle advance", live)
+	}
+	if st.Merges < 1 {
+		t.Fatal("no background merge ran; the test no longer covers merge tickets")
+	}
+	if st.Completed != n+int(st.Merges) || st.Rejected != 0 || st.Writes != n/3 {
+		t.Fatalf("stats completed=%d rejected=%d writes=%d merges=%d, want %d+merges/0/%d",
+			st.Completed, st.Rejected, st.Writes, st.Merges, n, n/3)
+	}
+}
